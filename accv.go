@@ -90,15 +90,13 @@ type Engine = interp.Engine
 const (
 	// EngineVM — the default — executes lowered procedure bodies through
 	// the internal/bytecode register VM; constructs the lowerer declines
-	// fall back to tree-walking with identical semantics.
+	// fall back to tree-walking with identical semantics. Loop nests the
+	// LaneSafety oracle proves lane-independent run in lockstep over
+	// lane-batched storage; the rest run goroutine-per-worker (see
+	// docs/PERFORMANCE.md, "Lane batching in the VM").
 	EngineVM = interp.EngineVM
 	// EngineTree forces the reference tree-walking interpreter everywhere.
 	EngineTree = interp.EngineTree
-	// EngineSPMD runs loop nests the LaneSafety oracle proves
-	// lane-independent in lockstep over lane-batched storage; nests it
-	// cannot prove fall back to the goroutine-per-worker path with VM
-	// bodies (see docs/PERFORMANCE.md, "SPMD lane batching").
-	EngineSPMD = interp.EngineSPMD
 )
 
 // AnalyzeProgram runs the accvet static analyzers over a parsed program
@@ -270,15 +268,7 @@ func CompileAndRunContext(ctx context.Context, src string, lang Language, tc Com
 		Env:      cfg.env,
 		Engine:   cfg.engine,
 	})
-	if r.SpmdBatchedNests > 0 {
-		cfg.obs.Add("accv_spmd_batched_nests_total", r.SpmdBatchedNests)
-	}
-	if r.SpmdMaskedStores > 0 {
-		cfg.obs.Add("accv_spmd_masked_stores_total", r.SpmdMaskedStores)
-	}
-	for reason, n := range r.SpmdFallbacks {
-		cfg.obs.Add("accv_spmd_fallback_nests_total", n, obs.L("reason", reason))
-	}
+	core.AddBatchTelemetry(cfg.obs, r)
 	return RunResult{
 		Exit: r.Exit, Output: r.Output, SimCycles: r.SimCycles,
 		Kernels: r.Kernels, ElemsIn: r.ElemsIn, ElemsOut: r.ElemsOut,

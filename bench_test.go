@@ -278,7 +278,7 @@ int acc_test()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM, interp.EngineSPMD} {
+	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM} {
 		b.Run(eng.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				plat := device.NewPlatform(tc.DeviceConfig(), 1)
@@ -286,8 +286,8 @@ int acc_test()
 				if r.Err != nil || r.Exit != 1 {
 					b.Fatalf("run failed: %v exit=%d", r.Err, r.Exit)
 				}
-				if eng == interp.EngineSPMD && r.SpmdBatchedNests == 0 {
-					b.Fatal("spmd engine batched zero nests on the kernel microbench")
+				if eng == interp.EngineVM && r.SpmdBatchedNests == 0 {
+					b.Fatal("vm batched zero nests on the kernel microbench")
 				}
 			}
 		})

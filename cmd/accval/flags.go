@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"accv"
+	"accv/internal/core"
+	"accv/internal/interp"
 )
 
 // cliFlags gathers every accval flag; each registrar below installs the
@@ -59,7 +61,7 @@ func (f *cliFlags) registerCommon(fs *flag.FlagSet) {
 	fs.BoolVar(&f.failFast, "fail-fast", false, "cancel the remaining suite after the first failure")
 	fs.IntVar(&f.retries, "retry", 0, "re-run transiently-flaky failures up to N extra times (requires -timeout)")
 	fs.StringVar(&f.vet, "vet", "on", "accvet static-analysis policy: on (error findings fail the test), warn, or off")
-	fs.StringVar(&f.engine, "engine", "vm", "interpreter execution engine: vm (compiled bytecode), tree (reference tree-walker), or spmd (lane-batched lockstep where the oracle proves it)")
+	fs.StringVar(&f.engine, "engine", "vm", "interpreter execution engine: vm (compiled bytecode, lane-batched where the oracle proves it) or tree (reference tree-walker)")
 }
 
 // registerReport installs the report-output flags (run and legacy).
@@ -158,44 +160,17 @@ func (f *cliFlags) runOptions(observer *accv.Observer) ([]accv.Option, error) {
 	if f.retries > 0 {
 		opts = append(opts, accv.WithRetry(f.retries, 50*time.Millisecond))
 	}
-	vetPolicy, err := parseVet(f.vet)
+	vetPolicy, err := core.ParseVetPolicy(f.vet)
 	if err != nil {
 		return nil, err
 	}
 	opts = append(opts, accv.WithVet(vetPolicy))
-	eng, err := parseEngine(f.engine)
+	eng, err := interp.ParseEngine(f.engine)
 	if err != nil {
 		return nil, err
 	}
 	opts = append(opts, accv.WithEngine(eng))
 	return opts, nil
-}
-
-// parseVet maps the -vet flag onto the facade's vet policies.
-func parseVet(s string) (accv.VetPolicy, error) {
-	switch s {
-	case "on", "", "true", "enforce":
-		return accv.VetEnforce, nil
-	case "warn":
-		return accv.VetWarnOnly, nil
-	case "off", "false":
-		return accv.VetOff, nil
-	}
-	return accv.VetEnforce, fmt.Errorf("unknown -vet policy %q (want on, warn, or off)", s)
-}
-
-// parseEngine maps the -engine flag onto the facade's execution engines.
-func parseEngine(s string) (accv.Engine, error) {
-	switch s {
-	case "vm", "":
-		return accv.EngineVM, nil
-	case "tree":
-		return accv.EngineTree, nil
-	case "spmd":
-		return accv.EngineSPMD, nil
-	}
-	var zero accv.Engine
-	return zero, fmt.Errorf("unknown -engine %q (want vm, tree, or spmd)", s)
 }
 
 func parseLangs(s string) ([]accv.Language, error) {

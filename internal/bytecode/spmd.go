@@ -1,6 +1,7 @@
 // SPMD batch lowering: compiles a proven-independent loop nest's body into
-// a lane-batched instruction stream that executes all of a gang's lanes in
-// one dispatch loop (docs/PERFORMANCE.md, "SPMD lane batching").
+// a lane-batched instruction stream that executes a gang's lanes, a batch
+// at a time, in one dispatch loop (docs/PERFORMANCE.md, "Lane batching in
+// the VM").
 //
 // The value model is uniform/varying. A value is uniform when every lane
 // provably computes the same thing: literals, loads of lane-shared scalars,
@@ -166,6 +167,7 @@ func LowerBatch(name string, dirLine int, body ast.Stmt, ivNames, redNames []str
 		lw.p.IvSlots = append(lw.p.IvSlots, lw.newSlot(iv, mem.KInt))
 	}
 	lw.prescan(body)
+	lw.tick() // the goroutine path charges each lane one op before its body
 	lw.stmt(body)
 	if lw.reason != "" {
 		return nil, lw.reason

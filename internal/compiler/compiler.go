@@ -296,17 +296,17 @@ type Executable struct {
 	Findings []analysis.Finding
 	// LaneSafety is the per-nest cross-lane safety oracle: one verdict per
 	// partitioned loop nest plus the gang-redundant remainders of
-	// multi-gang parallel regions. Always computed — the SPMD lowerer
+	// multi-gang parallel regions. Always computed — the batch lowerer
 	// batches only LaneProvenIndependent nests; accvet surfaces the same
 	// verdicts via -lane-safety.
 	LaneSafety []analysis.LaneSafety
 	// Code is the bytecode lowering of the program's procedure bodies,
 	// produced once here and reused by every run (docs/PERFORMANCE.md).
 	Code *bytecode.Module
-	// Batch holds the SPMD lane-batched lowering of every loop nest the
+	// Batch holds the lane-batched lowering of every loop nest the
 	// LaneSafety oracle proves independent and the batch lowerer can model;
 	// BatchDecline records why every other planned nest was not batched.
-	// Only the SPMD engine consults them (docs/PERFORMANCE.md). The maps
+	// Only the VM engine consults them (docs/PERFORMANCE.md). The maps
 	// reflect compile-time plans: the interpreter re-checks bug-mutated
 	// plan flags before using an entry.
 	Batch        map[*ast.PragmaStmt]*bytecode.BatchProc
@@ -399,8 +399,8 @@ func Compile(prog *ast.Program, opts Options) (*Executable, []Diagnostic, error)
 		rep := analysis.Analyze(prog, analysis.Options{})
 		s.exe.Findings = rep.Findings
 	}
-	// The lane-safety oracle is not gated on Vet: the SPMD engine keys off
-	// it regardless of whether accvet findings were requested.
+	// The lane-safety oracle is not gated on Vet: the VM's lane batching
+	// keys off it regardless of whether accvet findings were requested.
 	s.exe.LaneSafety = analysis.AnalyzeLaneSafety(prog)
 	s.exe.Code = bytecode.LowerProgram(prog)
 	lowerBatches(s.exe)

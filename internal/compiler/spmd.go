@@ -1,7 +1,7 @@
 package compiler
 
-// SPMD batch selection: decide per planned loop nest whether the lane-
-// batched engine may run it, and lower the eligible bodies once at compile
+// SPMD batch selection: decide per planned loop nest whether the VM may
+// run it lane-batched, and lower the eligible bodies once at compile
 // time. Eligibility is keyed off the LaneSafety oracle — only nests proven
 // lane-independent batch; proven-dependent, unknown, and structurally
 // unmodelable nests record a decline reason instead, which the interpreter

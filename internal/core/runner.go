@@ -156,6 +156,20 @@ func (p VetPolicy) String() string {
 	return "enforce"
 }
 
+// ParseVetPolicy maps a vet policy name — the accval -vet flag, the accvd
+// "vet" field and the shard wire spec — onto a VetPolicy; "" enforces.
+func ParseVetPolicy(s string) (VetPolicy, error) {
+	switch s {
+	case "on", "", "true", "enforce":
+		return VetEnforce, nil
+	case "warn":
+		return VetWarnOnly, nil
+	case "off", "false":
+		return VetOff, nil
+	}
+	return VetEnforce, fmt.Errorf("unknown vet policy %q (want on, warn, or off)", s)
+}
+
 // Config parameterizes a suite run.
 type Config struct {
 	// Toolchain is the compiler + device runtime under validation.
@@ -744,15 +758,7 @@ func (cfg Config) runOnce(ctx context.Context, exe *compiler.Executable, tpl *Te
 		cfg.Obs.Add("accv_present_lookups_total", r.PresentHits, obs.L("result", "hit"))
 		cfg.Obs.Add("accv_present_lookups_total", r.PresentMisses, obs.L("result", "miss"))
 		cfg.Obs.Add("accv_queue_waits_total", r.QueueWaits)
-		if r.SpmdBatchedNests > 0 {
-			cfg.Obs.Add("accv_spmd_batched_nests_total", r.SpmdBatchedNests)
-		}
-		if r.SpmdMaskedStores > 0 {
-			cfg.Obs.Add("accv_spmd_masked_stores_total", r.SpmdMaskedStores)
-		}
-		for reason, n := range r.SpmdFallbacks {
-			cfg.Obs.Add("accv_spmd_fallback_nests_total", n, obs.L("reason", reason))
-		}
+		AddBatchTelemetry(cfg.Obs, r)
 	}
 	switch {
 	case r.Err == interp.ErrCanceled:
@@ -765,6 +771,21 @@ func (cfg Config) runOnce(ctx context.Context, exe *compiler.Executable, tpl *Te
 		return FailWrongResult, fmt.Sprintf("verification returned %d (want 1)", r.Exit)
 	}
 	return Pass, ""
+}
+
+// AddBatchTelemetry records one run's lane-batching counters as the
+// accv_spmd_* series; a nil o records nothing. The suite runner and the
+// single-program path both report through it.
+func AddBatchTelemetry(o *obs.Observer, r interp.Result) {
+	if r.SpmdBatchedNests > 0 {
+		o.Add("accv_spmd_batched_nests_total", r.SpmdBatchedNests)
+	}
+	if r.SpmdMaskedStores > 0 {
+		o.Add("accv_spmd_masked_stores_total", r.SpmdMaskedStores)
+	}
+	for reason, n := range r.SpmdFallbacks {
+		o.Add("accv_spmd_fallback_nests_total", n, obs.L("reason", reason))
+	}
 }
 
 // collectBugIDs extracts vendor bug links from diagnostics.

@@ -42,6 +42,31 @@ func vetCfg(policy VetPolicy, o *obs.Observer) Config {
 	}
 }
 
+func TestParseVetPolicy(t *testing.T) {
+	for _, tt := range []struct {
+		in      string
+		want    VetPolicy
+		wantErr bool
+	}{
+		{"", VetEnforce, false},
+		{"on", VetEnforce, false},
+		{"true", VetEnforce, false},
+		{"enforce", VetEnforce, false},
+		{"warn", VetWarnOnly, false},
+		{"off", VetOff, false},
+		{"false", VetOff, false},
+		{"loud", VetEnforce, true},
+	} {
+		got, err := ParseVetPolicy(tt.in)
+		if (err != nil) != tt.wantErr || got != tt.want {
+			t.Errorf("ParseVetPolicy(%q) = %v, %v; want %v, error %v", tt.in, got, err, tt.want, tt.wantErr)
+		}
+		if err != nil && !strings.Contains(err.Error(), "want on, warn, or off") {
+			t.Errorf("ParseVetPolicy(%q) error %q does not name the valid policies", tt.in, err)
+		}
+	}
+}
+
 func TestVetEnforceFailsHazardousTest(t *testing.T) {
 	o := obs.NewObserver()
 	res := RunTest(vetCfg(VetEnforce, o), hazardousTemplate())

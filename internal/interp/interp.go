@@ -2,7 +2,9 @@
 // interpreter and the OpenACC runtime. Host code runs against host buffers;
 // compute constructs launch gang goroutines on the simulated device
 // (internal/device) with the gang-redundant / worker / vector execution
-// model of the specification. The interpreter consults the executable's
+// model of the specification; under the VM engine, loop nests the compiler
+// batch-lowered run each gang's lanes as lockstep batches instead of
+// per-worker goroutines (spmd.go). The interpreter consults the executable's
 // lowering plans (regions, loop schedules) and its vendor bug hooks, so a
 // miscompiled plan produces exactly the wrong-code behaviours the validation
 // suite is designed to detect.
@@ -11,6 +13,7 @@ package interp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -29,28 +32,33 @@ type Engine uint8
 const (
 	// EngineVM (the default) executes lowered procedure bodies through the
 	// internal/bytecode register VM, tree-walking only what the lowerer
-	// escaped or declined.
+	// escaped or declined. Loop nests the LaneSafety oracle proves
+	// independent run a gang's lanes in lockstep batches over lane-indexed
+	// storage, with an execution mask for divergent control flow; every
+	// other nest runs goroutine-per-worker (docs/PERFORMANCE.md).
 	EngineVM Engine = iota
 	// EngineTree walks the AST for everything — the reference semantics the
 	// VM is differentially tested against.
 	EngineTree
-	// EngineSPMD is the VM plus lane batching: loop nests the LaneSafety
-	// oracle proves independent execute all lanes of a gang in one
-	// lockstep dispatch loop over lane-batched storage, with an execution
-	// mask for divergent control flow. Nests the batch lowerer declines
-	// fall back to the goroutine-per-lane path, so results are identical
-	// to the other engines by construction (docs/PERFORMANCE.md).
-	EngineSPMD
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineTree:
+	if e == EngineTree {
 		return "tree"
-	case EngineSPMD:
-		return "spmd"
 	}
 	return "vm"
+}
+
+// ParseEngine maps an engine name — the accval -engine flag, the accvd
+// "engine" field and the shard wire spec — onto an Engine; "" is EngineVM.
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "vm", "":
+		return EngineVM, nil
+	case "tree":
+		return EngineTree, nil
+	}
+	return EngineVM, fmt.Errorf("unknown engine %q (want vm or tree)", s)
 }
 
 // RunConfig parameterizes one program execution.
@@ -76,8 +84,8 @@ type RunConfig struct {
 	// Env provides ACC_* environment variables.
 	Env map[string]string
 	// Engine selects the execution engine; the zero value is EngineVM.
-	// EngineVM silently degrades to tree-walking for programs the compiler
-	// did not lower (Executable.Code == nil).
+	// EngineVM silently degrades to tree-walking, without lane batching,
+	// for programs the compiler did not lower (Executable.Code == nil).
 	Engine Engine
 	// RaceCheck shadow-tracks device-memory accesses per lane and records
 	// cross-lane conflicts in Result.Races. It forces the tree engine (the
@@ -116,11 +124,11 @@ type Result struct {
 	// Races holds the cross-lane conflicts observed when RunConfig.RaceCheck
 	// was set; nil otherwise. Sorted by variable, then line.
 	Races []Race
-	// SpmdBatchedNests counts nest executions the SPMD engine ran through
-	// the lane-batched dispatch loop (one count per gang per region
-	// entry); zero under the other engines.
+	// SpmdBatchedNests counts nest executions the VM ran through the
+	// lane-batched dispatch loop (one count per gang per region entry);
+	// zero under EngineTree and RaceCheck.
 	SpmdBatchedNests int64
-	// SpmdMaskedStores counts store instructions the SPMD engine executed
+	// SpmdMaskedStores counts store instructions a lane batch executed
 	// under a partial mask (divergent control flow).
 	SpmdMaskedStores int64
 	// SpmdFallbacks counts nest executions that fell back to the
@@ -168,11 +176,9 @@ func Run(exe *compiler.Executable, cfg RunConfig) Result {
 		out:    &out,
 		sink:   cfg.Stdout,
 	}
-	if (cfg.Engine == EngineVM || cfg.Engine == EngineSPMD) && !cfg.RaceCheck {
+	if cfg.Engine == EngineVM && !cfg.RaceCheck {
 		in.code = exe.Code
 	}
-	// RaceCheck needs per-lane attribution, which batching removes.
-	in.spmd = cfg.Engine == EngineSPMD && !cfg.RaceCheck
 	if cfg.RaceCheck {
 		in.rc = newRaceTracker()
 	}
@@ -293,16 +299,14 @@ type Interp struct {
 	maxOps int64
 	seed   int64
 	// code is the lowered bytecode module when the VM engine is active;
-	// nil means every statement tree-walks.
+	// nil means every statement tree-walks and no nest is lane-batched.
 	code *bytecode.Module
 	// rc is the cross-lane race tracker; nil unless RunConfig.RaceCheck.
 	rc *raceTracker
-	// spmd enables lane-batched nest execution (EngineSPMD without
-	// RaceCheck). The batched/fallback/masked counters feed the
-	// accv_spmd_* telemetry series through Result.
-	spmd        bool
-	spmdBatched atomic.Int64
-	spmdMasked  atomic.Int64
+	// The lane-batching counters feed the accv_spmd_* telemetry series
+	// through Result.
+	spmdBatched   atomic.Int64
+	spmdMasked    atomic.Int64
 	spmdMu        sync.Mutex
 	spmdFallbacks map[string]int64
 

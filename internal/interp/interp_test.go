@@ -29,6 +29,31 @@ func run(t *testing.T, src string, cfg interp.RunConfig) interp.Result {
 	return interp.Run(exe, cfg)
 }
 
+func TestParseEngine(t *testing.T) {
+	for _, tt := range []struct {
+		in      string
+		want    interp.Engine
+		wantErr bool
+	}{
+		{"", interp.EngineVM, false},
+		{"vm", interp.EngineVM, false},
+		{"tree", interp.EngineTree, false},
+		{"spmd", interp.EngineVM, true},
+		{"VM", interp.EngineVM, true},
+	} {
+		got, err := interp.ParseEngine(tt.in)
+		if (err != nil) != tt.wantErr || got != tt.want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v, error %v", tt.in, got, err, tt.want, tt.wantErr)
+		}
+		if err != nil && !strings.Contains(err.Error(), "want vm or tree") {
+			t.Errorf("ParseEngine(%q) error %q does not name the valid engines", tt.in, err)
+		}
+		if err == nil && tt.in != "" && got.String() != tt.in {
+			t.Errorf("ParseEngine(%q).String() = %q, want the name back", tt.in, got)
+		}
+	}
+}
+
 func TestPrintfFormatting(t *testing.T) {
 	res := run(t, `
 int acc_test() {

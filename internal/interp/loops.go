@@ -347,18 +347,16 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 	var maxOps atomic.Int64
 	partials := make([][]mem.Value, W)
 
-	// SPMD engine: run the whole lane set in one batched dispatch when the
-	// compile-time lowering and the runtime gates both admit the nest.
+	// The VM runs the lane set as batches when the compile-time lowering
+	// and the runtime gates both admit the nest.
 	batched := false
-	if in.spmd {
+	if in.code != nil {
 		if bp, reason := c.batchFor(p, plan, loops); bp == nil {
 			in.noteFallback(reason)
-		} else if nLanes := total/G + boolTo64(gi < total%G); nLanes > spmdMaxLanes {
-			in.noteFallback("lane-count")
 		} else {
 			batched = true
 			in.spmdBatched.Add(1)
-			firstErr = c.runBatch(bp, loops, total, G, gi, W, hasGang, hasWorker, reds, partials)
+			firstErr = c.runBatch(bp, loops, total, G, gi, W, reds, partials)
 		}
 	}
 

@@ -1,12 +1,12 @@
 package interp
 
-// SPMD lane-batched nest execution (EngineSPMD). A nest the compiler
-// batch-lowered (Executable.Batch) and the runtime gates admit executes all
-// of this gang's lanes in one dispatch loop over lane-indexed storage
-// instead of goroutine-per-lane: uniform values compute once per batch
-// step, varying values live in flat per-lane slices, and divergent control
-// flow narrows an execution mask instead of branching per lane
-// (docs/PERFORMANCE.md, "SPMD lane batching").
+// Lane-batched nest execution, the VM's strategy for every nest it can
+// batch. A nest the compiler batch-lowered (Executable.Batch) and the
+// runtime gates admit executes this gang's lanes in one dispatch loop over
+// lane-indexed storage instead of goroutine-per-lane: uniform values
+// compute once per batch step, varying values live in flat per-lane
+// slices, and divergent control flow narrows an execution mask instead of
+// branching per lane (docs/PERFORMANCE.md, "Lane batching in the VM").
 //
 // Parity contract with the goroutine path: identical memory effects,
 // identical runtime-error messages (raised for the lowest failing lane),
@@ -19,6 +19,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"accv/internal/ast"
 	"accv/internal/bytecode"
@@ -27,9 +28,25 @@ import (
 	"accv/internal/rt"
 )
 
-// spmdMaxLanes bounds per-batch lane storage; larger gangs fall back to
-// the goroutine path rather than allocating unbounded register files.
-const spmdMaxLanes = 1 << 16
+// batchChunk is the lane count of one batch. A gang's lanes run in
+// ascending chunks of this size, so lane storage stays bounded and is
+// reused however many iterations the gang owns. Running a chunk after the
+// previous one finishes is per-lane-equivalent because batched nests are
+// proven lane-independent and shared-scalar stores are lane-repeatable.
+const batchChunk = 64
+
+// laneIota is the full-chunk execution mask. Mask instructions build new
+// slices instead of writing the active set, so it is shared read-only.
+var laneIota = func() (a [batchChunk]int32) {
+	for l := range a {
+		a[l] = int32(l)
+	}
+	return a
+}()
+
+// batchPool recycles batch executors, with their register files, lane
+// slots and resolution caches, across nests, gangs and runs.
+var batchPool = sync.Pool{New: func() any { return new(batchExec) }}
 
 // batchFor returns the nest's batch lowering when every runtime gate
 // admits it, or nil and the fallback reason. The compile-time decline
@@ -85,13 +102,16 @@ type maskFrame struct {
 type batchExec struct {
 	c  *execCtx
 	bp *bytecode.BatchProc
-	nl int32 // lane count
+	nl int32 // lanes in the current chunk
 
 	active []int32
 	frames []maskFrame
 
-	regs  []bval
-	slots [][]mem.Value
+	// regs and slots hold the current chunk's lanes; each varying
+	// register's v and each slot has room for batchChunk lanes.
+	regs    []bval
+	slots   [][]mem.Value
+	slotBuf []mem.Value
 
 	// Outer-slot resolution caches, mirroring the VM's per-frame caches.
 	loads []vmLoad
@@ -99,64 +119,106 @@ type batchExec struct {
 
 	// workerOf attributes each lane's op charges; nil when W == 1.
 	workerOf     []int32
+	workerBuf    [batchChunk]int32
 	opsW, pendW  []int64
 	redAcc       [][]mem.Value
 	maskedStores int64
 }
 
-// runBatch executes the nest's whole lane set for this gang. It fills
-// partials (per worker, reduction order) on success and returns the first
-// lane error otherwise, adding the slowest worker's op count to the kernel
-// exactly as the goroutine path does.
-func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, gi, W int64, hasGang, hasWorker bool, reds []redVar, partials [][]mem.Value) (err error) {
+// resized returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// scrub zeroes the lane storage, so the next chunk starts from exactly
+// the state a fresh allocation gives and a pooled executor pins nothing.
+func (b *batchExec) scrub() {
+	for i := range b.regs {
+		r := &b.regs[i]
+		clear(r.v)
+		r.uni, r.u = false, mem.Value{}
+	}
+	clear(b.slotBuf)
+	b.frames = b.frames[:0]
+}
+
+// release scrubs the executor and returns it to the pool.
+func (b *batchExec) release() {
+	b.scrub()
+	clear(b.loads)
+	clear(b.targs)
+	b.c, b.bp, b.redAcc = nil, nil, nil
+	b.maskedStores = 0
+	batchPool.Put(b)
+}
+
+// runBatch executes the nest's lanes for this gang — iterations gi,
+// gi+G, gi+2G, ... below total — in ascending chunks of batchChunk lanes.
+// It fills partials (per worker, reduction order) on success and returns
+// the first lane error otherwise, adding the slowest worker's op count to
+// the kernel exactly as the goroutine path does.
+func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, gi, W int64, reds []redVar, partials [][]mem.Value) (err error) {
 	k := c.kernel
-	// Enumerate this gang's lanes in ascending iteration order.
-	var lanes []int64
-	for t := int64(0); t < total; t++ {
-		if hasGang && t%G != gi {
-			continue
-		}
-		lanes = append(lanes, t)
+	b := batchPool.Get().(*batchExec)
+	defer b.release()
+	b.c, b.bp = c, bp
+	if cap(b.regs) < bp.NumRegs {
+		b.regs = make([]bval, bp.NumRegs)
 	}
-	nl := int32(len(lanes))
-	b := &batchExec{
-		c: c, bp: bp, nl: nl,
-		regs:  make([]bval, bp.NumRegs),
-		loads: make([]vmLoad, len(bp.OuterNames)),
-		targs: make([]*VarInfo, len(bp.OuterNames)),
-		opsW:  make([]int64, W),
-		pendW: make([]int64, W),
-	}
-	for w := int64(0); w < W; w++ {
+	b.regs = b.regs[:bp.NumRegs] // scrubbed before each chunk
+	nSlots := len(bp.SlotKinds)
+	b.slotBuf = resized(b.slotBuf, nSlots*batchChunk)
+	b.slots = resized(b.slots, nSlots)
+	b.loads = resized(b.loads, len(bp.OuterNames))
+	b.targs = resized(b.targs, len(bp.OuterNames))
+	b.opsW = resized(b.opsW, int(W))
+	b.pendW = resized(b.pendW, int(W))
+	for w := range b.pendW {
 		b.pendW[w] = k.pend // each goroutine worker copies the gang's residual
 	}
+	// The accumulators escape through partials, so they are not pooled.
 	b.redAcc = make([][]mem.Value, W)
-	for w := int64(0); w < W; w++ {
+	for w := range b.redAcc {
 		acc := make([]mem.Value, len(reds))
 		for i, rv := range reds {
 			acc[i] = reductionIdentity(rv.op, rv.host.Kind)
 		}
 		b.redAcc[w] = acc
 	}
-	if nl > 0 {
-		if hasWorker && W > 1 {
-			b.workerOf = make([]int32, nl)
-			for l, t := range lanes {
-				b.workerOf[l] = int32((t / G) % W)
+	defer func() {
+		if rec := recover(); rec != nil {
+			if s, ok := rec.(stopSignal); ok {
+				err = s.err
+			} else {
+				err = &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)}
 			}
 		}
-		b.active = make([]int32, nl)
-		for l := range b.active {
-			b.active[l] = int32(l)
-		}
-		backing := make([]mem.Value, len(bp.SlotKinds)*int(nl))
-		b.slots = make([][]mem.Value, len(bp.SlotKinds))
+	}()
+	b.workerOf = nil
+	if W > 1 {
+		b.workerOf = b.workerBuf[:]
+	}
+	for t0 := gi; t0 < total; t0 += batchChunk * G {
+		nl := min(batchChunk, (total-t0+G-1)/G) // lane l is iteration t0+l*G
+		b.scrub()
+		b.nl = int32(nl)
+		b.active = laneIota[:nl]
 		for s := range b.slots {
-			b.slots[s] = backing[s*int(nl) : (s+1)*int(nl)]
+			b.slots[s] = b.slotBuf[s*batchChunk : s*batchChunk+int(nl)]
 		}
-		// Seed the induction-variable slots: lane l is iteration lanes[l],
-		// decomposed innermost-fastest exactly like the goroutine path.
-		for l, t := range lanes {
+		// Seed the induction-variable slots, decomposing each iteration
+		// innermost-fastest exactly like the goroutine path.
+		for l := int64(0); l < nl; l++ {
+			t := t0 + l*G
+			if b.workerOf != nil {
+				b.workerOf[l] = int32((t / G) % W)
+			}
 			rem := t
 			for i := len(loops) - 1; i >= 0; i-- {
 				d := loops[i]
@@ -165,15 +227,6 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 				b.slots[bp.IvSlots[i]][l] = mem.Int(d.start + idx*d.step)
 			}
 		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				if s, ok := rec.(stopSignal); ok {
-					err = s.err
-				} else {
-					err = &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)}
-				}
-			}
-		}()
 		if err := b.run(); err != nil {
 			// Mirror an erroring goroutine worker: no ops published, no
 			// partials, the nest aborts with the lane error.
@@ -222,10 +275,10 @@ func (b *batchExec) tick() {
 func (b *batchExec) vreg(r int32) []mem.Value {
 	rv := &b.regs[r]
 	if rv.v == nil {
-		rv.v = make([]mem.Value, b.nl)
+		rv.v = make([]mem.Value, batchChunk)
 	}
 	rv.uni = false
-	return rv.v
+	return rv.v[:b.nl]
 }
 
 func (b *batchExec) setU(r int32, v mem.Value) {
@@ -350,13 +403,6 @@ func (b *batchExec) laneOff(v *VarInfo, pbuf *mem.Buffer, poff int, idxBase, idx
 }
 
 func truth(v mem.Value) bool { return v.Truth() }
-
-func boolTo64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // run is the batch dispatch loop.
 func (b *batchExec) run() error {

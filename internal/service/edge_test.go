@@ -307,29 +307,30 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestEngineSelection pins the engine field of the run and suite
-// endpoints: "spmd" is accepted end-to-end (the single-program path and
+// endpoints: "tree" is accepted end-to-end (the single-program path and
 // the suite path both thread it through to the interpreter), and an
-// unknown engine is refused with a structured 400 naming the valid set —
-// not silently executed on the default engine.
+// unknown engine — including the retired "spmd" — is refused with a
+// structured 400 naming the valid set, not silently executed on the
+// default engine.
 func TestEngineSelection(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	var run RunResponse
-	resp := postJSON(t, ts.URL+"/v1/run", RunRequest{Source: figure1Source, Engine: "spmd"}, &run)
+	resp := postJSON(t, ts.URL+"/v1/run", RunRequest{Source: figure1Source, Engine: "tree"}, &run)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run engine=spmd status = %d, want 200", resp.StatusCode)
+		t.Fatalf("run engine=tree status = %d, want 200", resp.StatusCode)
 	}
 	if run.Exit != 1 || run.Error != "" {
-		t.Fatalf("run engine=spmd = %+v, want exit 1 with no error", run)
+		t.Fatalf("run engine=tree = %+v, want exit 1 with no error", run)
 	}
 
 	var suite SuiteResponse
-	resp = postJSON(t, ts.URL+"/v1/suite", SuiteRequest{Family: "data", Iterations: 1, Engine: "spmd"}, &suite)
+	resp = postJSON(t, ts.URL+"/v1/suite", SuiteRequest{Family: "data", Iterations: 1, Engine: "tree"}, &suite)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("suite engine=spmd status = %d, want 200", resp.StatusCode)
+		t.Fatalf("suite engine=tree status = %d, want 200", resp.StatusCode)
 	}
 	if suite.Total == 0 || suite.Report == "" {
-		t.Fatalf("suite engine=spmd = %+v, want a populated report", suite)
+		t.Fatalf("suite engine=tree = %+v, want a populated report", suite)
 	}
 
 	for _, tc := range []struct {
@@ -338,6 +339,8 @@ func TestEngineSelection(t *testing.T) {
 	}{
 		{"/v1/run", RunRequest{Source: figure1Source, Engine: "warp"}},
 		{"/v1/suite", SuiteRequest{Engine: "warp"}},
+		{"/v1/run", RunRequest{Source: figure1Source, Engine: "spmd"}},
+		{"/v1/suite", SuiteRequest{Engine: "spmd"}},
 	} {
 		body, err := json.Marshal(tc.body)
 		if err != nil {
@@ -350,18 +353,18 @@ func TestEngineSelection(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s engine=warp: status = %d, want 400 (body: %s)", tc.path, resp.StatusCode, raw)
+			t.Errorf("%s %s: status = %d, want 400 (body: %s)", tc.path, body, resp.StatusCode, raw)
 			continue
 		}
 		var env errorEnvelope
 		if err := json.Unmarshal(raw, &env); err != nil {
-			t.Fatalf("%s engine=warp: response is not the error envelope: %v", tc.path, err)
+			t.Fatalf("%s %s: response is not the error envelope: %v", tc.path, body, err)
 		}
 		if env.Error.Code != codeBadRequest {
-			t.Errorf("%s engine=warp: error code = %q, want %q", tc.path, env.Error.Code, codeBadRequest)
+			t.Errorf("%s %s: error code = %q, want %q", tc.path, body, env.Error.Code, codeBadRequest)
 		}
-		if !strings.Contains(env.Error.Message, "want vm, tree, or spmd") {
-			t.Errorf("%s engine=warp: error message %q does not name the valid engines", tc.path, env.Error.Message)
+		if !strings.Contains(env.Error.Message, "want vm or tree") {
+			t.Errorf("%s %s: error message %q does not name the valid engines", tc.path, body, env.Error.Message)
 		}
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"strings"
 
 	"accv"
+	"accv/internal/core"
+	"accv/internal/interp"
 )
 
 // Admission cost estimates, in interpreted operations — the currency of
@@ -116,7 +118,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeUnknownCompiler, err.Error())
 		return
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := interp.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -305,12 +307,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		langs = append(langs, lang)
 	}
-	vet, err := parseVet(req.Vet)
+	vet, err := core.ParseVetPolicy(req.Vet)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := interp.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -412,11 +414,11 @@ func (s *Server) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	if _, err := parseVet(req.Spec.Vet); err != nil {
+	if _, err := core.ParseVetPolicy(req.Spec.Vet); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	if _, err := parseEngine(req.Spec.Engine); err != nil {
+	if _, err := interp.ParseEngine(req.Spec.Engine); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}

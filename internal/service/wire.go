@@ -14,6 +14,8 @@ import (
 	"accv"
 	"accv/internal/analysis"
 	"accv/internal/compiler"
+	"accv/internal/core"
+	"accv/internal/interp"
 	"accv/internal/shard"
 )
 
@@ -84,33 +86,6 @@ func parseLang(s string) (accv.Language, error) {
 		return accv.Fortran, nil
 	}
 	return accv.C, fmt.Errorf("unknown lang %q (want c or fortran)", s)
-}
-
-// parseVet mirrors accval's -vet flag values.
-func parseVet(s string) (accv.VetPolicy, error) {
-	switch s {
-	case "on", "", "enforce":
-		return accv.VetEnforce, nil
-	case "warn":
-		return accv.VetWarnOnly, nil
-	case "off":
-		return accv.VetOff, nil
-	}
-	return accv.VetEnforce, fmt.Errorf("unknown vet policy %q (want on, warn, or off)", s)
-}
-
-// parseEngine mirrors accval's -engine flag values.
-func parseEngine(s string) (accv.Engine, error) {
-	switch s {
-	case "vm", "":
-		return accv.EngineVM, nil
-	case "tree":
-		return accv.EngineTree, nil
-	case "spmd":
-		return accv.EngineSPMD, nil
-	}
-	var zero accv.Engine
-	return zero, fmt.Errorf("unknown engine %q (want vm, tree, or spmd)", s)
 }
 
 // parseFormat mirrors accval's -format flag values.
@@ -353,11 +328,11 @@ func (s *Server) suiteOptions(req SuiteRequest) (accv.Language, accv.ReportForma
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	vet, err := parseVet(req.Vet)
+	vet, err := core.ParseVetPolicy(req.Vet)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := interp.ParseEngine(req.Engine)
 	if err != nil {
 		return 0, 0, nil, err
 	}

@@ -13,6 +13,7 @@ import (
 
 	"accv/internal/compiler"
 	"accv/internal/core"
+	"accv/internal/interp"
 	"accv/internal/obs"
 	"accv/internal/store"
 	"accv/internal/sweep"
@@ -107,11 +108,11 @@ func (e *Executor) config(u Unit, spec Spec) (core.Config, []*core.Template, err
 	if err != nil {
 		return core.Config{}, nil, err
 	}
-	vet, err := parseVet(spec.Vet)
+	vet, err := core.ParseVetPolicy(spec.Vet)
 	if err != nil {
 		return core.Config{}, nil, err
 	}
-	engine, err := parseEngine(spec.Engine)
+	engine, err := interp.ParseEngine(spec.Engine)
 	if err != nil {
 		return core.Config{}, nil, err
 	}

@@ -27,7 +27,6 @@ import (
 
 	"accv/internal/ast"
 	"accv/internal/core"
-	"accv/internal/interp"
 )
 
 // Unit is one schedulable slice of the sweep grid: a contiguous template
@@ -65,7 +64,7 @@ type Spec struct {
 	Iterations     int    `json:"iterations,omitempty"`
 	TimeoutMS      int64  `json:"timeout_ms,omitempty"`
 	Vet            string `json:"vet,omitempty"`    // "on" | "warn" | "off"
-	Engine         string `json:"engine,omitempty"` // "vm" | "tree" | "spmd"
+	Engine         string `json:"engine,omitempty"` // "vm" | "tree"
 	RetryAttempts  int    `json:"retry_attempts,omitempty"`
 	RetryBackoffMS int64  `json:"retry_backoff_ms,omitempty"`
 	FailFast       bool   `json:"fail_fast,omitempty"`
@@ -113,33 +112,6 @@ func ParseLang(s string) (ast.Lang, error) {
 		return ast.LangFortran, nil
 	}
 	return ast.LangC, fmt.Errorf("unknown lang %q (want c or fortran)", s)
-}
-
-// parseVet mirrors accval's -vet flag values.
-func parseVet(s string) (core.VetPolicy, error) {
-	switch s {
-	case "on", "", "true", "enforce":
-		return core.VetEnforce, nil
-	case "warn":
-		return core.VetWarnOnly, nil
-	case "off", "false":
-		return core.VetOff, nil
-	}
-	return core.VetEnforce, fmt.Errorf("unknown vet policy %q (want on, warn, or off)", s)
-}
-
-// parseEngine mirrors accval's -engine flag values.
-func parseEngine(s string) (interp.Engine, error) {
-	switch s {
-	case "vm", "":
-		return interp.EngineVM, nil
-	case "tree":
-		return interp.EngineTree, nil
-	case "spmd":
-		return interp.EngineSPMD, nil
-	}
-	var zero interp.Engine
-	return zero, fmt.Errorf("unknown engine %q (want vm, tree, or spmd)", s)
 }
 
 func msDuration(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }

@@ -115,7 +115,9 @@ func checkVersion(dir string) error {
 	want := fmt.Sprintf("accv-result-store schema %d\n", SchemaVersion)
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return os.WriteFile(path, []byte(want), 0o644)
+		// Atomic, so a process opening the store concurrently never reads
+		// a created but still empty stamp.
+		return writeAtomic(path, []byte(want))
 	}
 	if err != nil {
 		return fmt.Errorf("store: reading %s: %w", path, err)

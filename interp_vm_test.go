@@ -1,10 +1,10 @@
 package accv
 
-// Differential tests for the execution engines: the bytecode VM (default)
-// and the SPMD lane-batched engine must be observationally identical to
-// the reference tree-walking interpreter on the complete template corpus —
+// Differential tests for the execution engines: the bytecode VM (default),
+// lane batching included, must be observationally identical to the
+// reference tree-walking interpreter on the complete template corpus —
 // same outcomes, same details, same cross-test statistics, byte-for-byte
-// identical rendered reports. The VM and the batcher earn their speed only
+// identical rendered reports. The VM and its batcher earn their speed only
 // by doing exactly what the tree-walker does (docs/PERFORMANCE.md); this
 // suite is the enforcement.
 
@@ -64,11 +64,11 @@ func firstDiff(a, b []byte) string {
 	return "(no differing line?)"
 }
 
-// TestEngineDifferentialReports runs every registered template through all
-// three engines and requires byte-identical suite reports. Coverage spans
+// TestEngineDifferentialReports runs every registered template through
+// both engines and requires byte-identical suite reports. Coverage spans
 // both languages on the reference compiler plus a heavily-bugged vendor
-// release, so miscompiled plans and vendor hooks go through the VM and the
-// SPMD batcher too. If an engine disagrees with the tree-walker, the
+// release, so miscompiled plans and vendor hooks go through the VM and its
+// lane batcher too. If the VM disagrees with the tree-walker, the
 // tree-walker is re-run once: a tree-vs-tree mismatch means the corpus
 // itself went schedule-nondeterministic on this machine (not an engine
 // defect), and the comparison is skipped.
@@ -94,16 +94,14 @@ func TestEngineDifferentialReports(t *testing.T) {
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			tree := engineReport(t, tt.lang, tt.tc, EngineTree, tt.spec20)
-			for _, e := range []Engine{EngineVM, EngineSPMD} {
-				got := engineReport(t, tt.lang, tt.tc, e, tt.spec20)
-				if bytes.Equal(tree, got) {
-					continue
-				}
-				if again := engineReport(t, tt.lang, tt.tc, EngineTree, tt.spec20); !bytes.Equal(tree, again) {
-					t.Skipf("suite is schedule-nondeterministic on this machine (tree-vs-tree differs); cannot byte-compare engines")
-				}
-				t.Errorf("engine %v diverged from the tree-walker; first difference at %s", e, firstDiff(tree, got))
+			got := engineReport(t, tt.lang, tt.tc, EngineVM, tt.spec20)
+			if bytes.Equal(tree, got) {
+				return
 			}
+			if again := engineReport(t, tt.lang, tt.tc, EngineTree, tt.spec20); !bytes.Equal(tree, again) {
+				t.Skipf("suite is schedule-nondeterministic on this machine (tree-vs-tree differs); cannot byte-compare engines")
+			}
+			t.Errorf("the VM diverged from the tree-walker; first difference at %s", firstDiff(tree, got))
 		})
 	}
 }

@@ -57,17 +57,16 @@ func TestTelemetryContract(t *testing.T) {
 		}
 	}
 
-	// A suite run under the SPMD engine: drives the batched-nest counter
-	// and — via the corpus's racy cross variants and unproven nests — the
-	// per-reason fallback counter.
-	spmdRunner, err := accv.NewRunner(accv.C,
-		accv.WithEngine(accv.EngineSPMD), accv.WithIterations(1), accv.WithObs(o))
+	// A suite run under the default engine: drives the batched-nest
+	// counter and — via the corpus's racy cross variants and unproven
+	// nests — the per-reason fallback counter.
+	vmRunner, err := accv.NewRunner(accv.C, accv.WithIterations(1), accv.WithObs(o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spmdRunner.Run(accv.Reference())
+	vmRunner.Run(accv.Reference())
 
-	// A single divergent-store kernel under the SPMD engine: the varying
+	// A single divergent-store kernel under the default engine: the varying
 	// branch executes under a partial execution mask, driving
 	// accv_spmd_masked_stores_total (no registry template diverges inside
 	// a batched nest, so the contract needs its own workload).
@@ -90,8 +89,8 @@ int acc_test()
 }
 `
 	if res, err := accv.CompileAndRun(divergent, accv.C, accv.Reference(),
-		accv.WithEngine(accv.EngineSPMD), accv.WithObs(o)); err != nil || res.Err != nil || res.Exit != 1 {
-		t.Fatalf("divergent spmd kernel: err=%v runtime=%v exit=%d", err, res.Err, res.Exit)
+		accv.WithObs(o)); err != nil || res.Err != nil || res.Exit != 1 {
+		t.Fatalf("divergent kernel: err=%v runtime=%v exit=%d", err, res.Err, res.Exit)
 	}
 
 	// A sharded sweep with two in-process workers sharing the observer:

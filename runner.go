@@ -127,14 +127,13 @@ func WithRetry(attempts int, backoff time.Duration) Option {
 func WithVet(p VetPolicy) Option { return func(o *options) { o.vet = p } }
 
 // WithEngine selects the interpreter's execution engine. The default,
-// EngineVM, runs compiled bytecode on the statement hot path; EngineTree
-// forces the reference tree-walking interpreter everywhere; EngineSPMD
-// additionally batches loop nests the LaneSafety oracle proves
-// lane-independent, executing all lanes in lockstep over lane-indexed
-// storage (unproven nests fall back to the VM goroutine path per nest).
-// All three are semantically identical (held to byte-identical suite
-// reports by the differential tests); EngineTree exists for
-// cross-checking and for isolating suspected VM defects. See
+// EngineVM, runs compiled bytecode on the statement hot path and batches
+// loop nests the LaneSafety oracle proves lane-independent, executing
+// their lanes in lockstep over lane-indexed storage (unproven nests run
+// goroutine-per-worker); EngineTree forces the reference tree-walking
+// interpreter everywhere. The two are semantically identical (held to
+// byte-identical suite reports by the differential tests); EngineTree
+// exists for cross-checking and for isolating suspected VM defects. See
 // docs/PERFORMANCE.md.
 func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 

@@ -1,14 +1,14 @@
 package accv
 
-// Tests for the SPMD lane-batched engine's oracle gating. Batching is
-// admitted per nest by the LaneSafety oracle: proven-independent nests run
-// lockstep over lane-batched storage; proven-dependent and unknown nests —
+// Tests for the VM's oracle-gated lane batching. Batching is admitted per
+// nest by the LaneSafety oracle: proven-independent nests run lockstep
+// over lane-batched storage; proven-dependent and unknown nests —
 // including the deliberately racy templates — must decline with a stable
 // reason and fall back to the goroutine path, producing results identical
-// to the other engines. A separate check keeps the gate from going
-// vacuous: across the corpus, batched nests must dominate declines, and a
-// real suite run under EngineSPMD must report batched nests through the
-// accv_spmd_* counters.
+// to the tree-walker. A separate check keeps the gate from going vacuous:
+// across the corpus, batched nests must dominate declines, and a real
+// suite run under the default engine must report batched nests through
+// the accv_spmd_* counters.
 
 import (
 	"bytes"
@@ -35,8 +35,8 @@ func findTemplate(t *testing.T, lang Language, name string) *core.Template {
 // collapsed subscript and a dropped reduction clause — proven cross-lane
 // dependences) and functional templates the oracle classifies dependent or
 // unknown. Each must compile with zero batched nests and the expected
-// decline reason, and the SPMD engine must still produce the same result
-// as the VM via the per-nest fallback.
+// decline reason, and the VM must still produce the same result as the
+// tree-walker via the per-nest fallback.
 func TestSPMDOracleGatedFallback(t *testing.T) {
 	cases := []struct {
 		tpl    string
@@ -89,15 +89,15 @@ func TestSPMDOracleGatedFallback(t *testing.T) {
 				}
 				// The fallback must be invisible in results. Racy cross
 				// variants can be schedule-nondeterministic by design, so a
-				// mismatch is only an engine defect if the VM agrees with
-				// itself across runs.
+				// mismatch is only an engine defect if the tree-walker
+				// agrees with itself across runs.
+				tree := runEngine(t, src, lang, EngineTree)
 				vm := runEngine(t, src, lang, EngineVM)
-				spmd := runEngine(t, src, lang, EngineSPMD)
-				if vm != spmd {
-					if again := runEngine(t, src, lang, EngineVM); vm != again {
+				if tree != vm {
+					if again := runEngine(t, src, lang, EngineTree); tree != again {
 						t.Skipf("template is schedule-nondeterministic on this machine; cannot compare engines")
 					}
-					t.Errorf("engines disagree: vm=%+v spmd=%+v", vm, spmd)
+					t.Errorf("engines disagree: tree=%+v vm=%+v", tree, vm)
 				}
 			})
 		}
@@ -105,9 +105,10 @@ func TestSPMDOracleGatedFallback(t *testing.T) {
 }
 
 type engineOutcome struct {
-	Exit   int64
-	Output string
-	ErrMsg string
+	Exit      int64
+	Output    string
+	SimCycles int64
+	ErrMsg    string
 }
 
 func runEngine(t *testing.T, src string, lang Language, e Engine) engineOutcome {
@@ -116,19 +117,89 @@ func runEngine(t *testing.T, src string, lang Language, e Engine) engineOutcome 
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := engineOutcome{Exit: res.Exit, Output: res.Output}
+	o := engineOutcome{Exit: res.Exit, Output: res.Output, SimCycles: res.SimCycles}
 	if res.Err != nil {
 		o.ErrMsg = res.Err.Error()
 	}
 	return o
 }
 
+// chunkKernel batches two nests whose lane sets cross the VM's batch
+// chunk size. The first gives each of 2 gangs 150 lanes (two full chunks
+// and a partial one) split over 3 workers — set by worker(3), because the
+// reference device runs num_workers on one worker — with a
+// worker-partitioned reduction and a divergent branch; the second is a
+// collapsed nest of a
+// different shape run on the same recycled lane storage. The branch arms
+// cost different op counts and SimCycles follows the slowest worker's
+// count, so it checks the per-lane worker attribution as well.
+const chunkKernel = `
+int acc_test()
+{
+    int n = 300;
+    int i, j, check;
+    int sum = 0;
+    int a[300];
+    int b[300];
+    double c[10][13];
+    for (i = 0; i < n; i++) a[i] = i * 7 % 31;
+    #pragma acc parallel copyin(a[0:n]) copyout(b[0:n], c) copy(sum) num_gangs(2)
+    {
+        #pragma acc loop gang worker(3) reduction(+:sum)
+        for (i = 0; i < n; i++) {
+            int v = a[i];
+            int k;
+            if (v % 3 == 0) {
+                b[i] = v;
+                for (k = 0; k < v; k++)
+                    b[i] = b[i] + 2;
+            } else
+                b[i] = -v;
+            sum = sum + v;
+        }
+        #pragma acc loop gang collapse(2)
+        for (i = 0; i < 10; i++)
+            for (j = 0; j < 13; j++)
+                c[i][j] = i * 0.5 + j;
+    }
+    check = 0;
+    for (i = 0; i < n; i++) check = check * 31 % 1000003 + b[i];
+    printf("sum=%d check=%d c=%f\n", sum, check, c[9][12]);
+    return (sum > 0);
+}
+`
+
+// TestBatchChunkBoundaries pins chunked batch execution against the
+// tree-walker: chunk boundaries, per-worker partial folds and reuse of
+// pooled lane storage across nests must not change a byte of output.
+func TestBatchChunkBoundaries(t *testing.T) {
+	prog, err := Parse(chunkKernel, C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, _, err := Reference().Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exe.Batch) != 2 {
+		t.Fatalf("batch-lowered %d nests (declines %v), want both", len(exe.Batch), exe.BatchDecline)
+	}
+	tree := runEngine(t, chunkKernel, C, EngineTree)
+	vm := runEngine(t, chunkKernel, C, EngineVM)
+	if tree.Exit != 1 || tree.ErrMsg != "" {
+		t.Fatalf("tree run failed: %+v", tree)
+	}
+	if tree != vm {
+		t.Errorf("engines disagree:\n tree=%+v\n   vm=%+v", tree, vm)
+	}
+}
+
 // TestSPMDBatchingNotVacuous guards the oracle gate against silently
 // declining everything: the differential suite would still pass with the
 // batcher never engaged. Across the reference corpus the compile-time
 // lowering must batch far more nests than it declines, and an actual suite
-// run under EngineSPMD must surface nonzero accv_spmd_batched_nests_total
-// alongside the expected fallback reasons.
+// run under the default engine must surface nonzero
+// accv_spmd_batched_nests_total alongside the expected fallback reasons.
 func TestSPMDBatchingNotVacuous(t *testing.T) {
 	batched, declined := 0, 0
 	for _, lang := range []Language{C, Fortran} {
@@ -151,7 +222,7 @@ func TestSPMDBatchingNotVacuous(t *testing.T) {
 	}
 	t.Logf("corpus: %d nests batch-lowered, %d declined", batched, declined)
 	if batched == 0 {
-		t.Fatal("no nest in the corpus batch-lowered; the SPMD engine is vacuous")
+		t.Fatal("no nest in the corpus batch-lowered; lane batching is vacuous")
 	}
 	if batched <= declined {
 		t.Errorf("batch lowering declined more nests (%d) than it lowered (%d)", declined, batched)
@@ -160,7 +231,7 @@ func TestSPMDBatchingNotVacuous(t *testing.T) {
 	// Runtime: a suite run on the loop family must batch nests and record
 	// the racy template's fallback.
 	o := NewObserver()
-	r, err := NewRunner(C, WithEngine(EngineSPMD), WithFamily("loop"), WithIterations(1), WithObs(o))
+	r, err := NewRunner(C, WithFamily("loop"), WithIterations(1), WithObs(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +253,7 @@ func TestSPMDBatchingNotVacuous(t *testing.T) {
 		}
 	}
 	if counters["accv_spmd_batched_nests_total"] == 0 {
-		t.Error("suite run under EngineSPMD batched zero nests")
+		t.Error("suite run under the default engine batched zero nests")
 	}
 	if fallbackReasons["oracle-dependent"] == 0 {
 		t.Error("racy cross variants recorded no oracle-dependent fallbacks")
