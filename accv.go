@@ -10,7 +10,8 @@
 // downstream user programs against:
 //
 //	tc, _ := accv.NewCompiler("pgi", "13.2")
-//	res := accv.NewSuite(accv.C).Run(tc)
+//	r, _ := accv.NewRunner(accv.C)
+//	res := r.Run(tc)
 //	accv.WriteReport(os.Stdout, res, accv.Text)
 //
 // Single programs compile and run the same way:

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func TestCompileAndRunOptions(t *testing.T) {
+func TestCompileAndRunWithOptions(t *testing.T) {
 	src := `
 int acc_test()
 {
@@ -64,13 +64,24 @@ int acc_test()
 	}
 }
 
+// mustRunner builds a Runner with newRunner (NewRunner or NewRunner20),
+// failing the test on a configuration error.
+func mustRunner(t *testing.T, newRunner func(Language, ...Option) (*Runner, error), lang Language, opts ...Option) *Runner {
+	t.Helper()
+	r, err := newRunner(lang, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestSuiteFamilySelection(t *testing.T) {
-	s := NewSuite(C).Family("env")
-	tpls := s.Templates()
+	r := mustRunner(t, NewRunner, C, WithFamily("env"), WithIterations(1))
+	tpls := r.Templates()
 	if len(tpls) != 2 {
 		t.Fatalf("env family has %d C tests, want 2", len(tpls))
 	}
-	res := s.Iterations(1).Run(Reference())
+	res := r.Run(Reference())
 	if res.Failed() != 0 {
 		t.Errorf("env family must pass on the reference compiler: %+v", res.Results)
 	}
@@ -95,7 +106,7 @@ func TestVersionsAndVendors(t *testing.T) {
 
 func TestFacadeReportWriters(t *testing.T) {
 	tc, _ := NewCompiler("cray", "8.1.2")
-	res := NewSuite(C).Family("wait").Iterations(1).Run(tc)
+	res := mustRunner(t, NewRunner, C, WithFamily("wait"), WithIterations(1)).Run(tc)
 	var sb strings.Builder
 	if err := WriteReport(&sb, res, Text); err != nil {
 		t.Fatal(err)
@@ -126,16 +137,16 @@ func TestFamiliesAndLookup(t *testing.T) {
 	if n := len(AllTemplates()); n != 218 {
 		t.Errorf("registry census: %d (210 OpenACC 1.0 + 8 OpenACC 2.0)", n)
 	}
-	if n := len(NewSuite(C).Templates()); n != 105 {
+	if n := len(mustRunner(t, NewRunner, C).Templates()); n != 105 {
 		t.Errorf("1.0 C suite: %d tests", n)
 	}
-	if n := len(NewSuite20(C).Templates()); n != 4 {
+	if n := len(mustRunner(t, NewRunner20, C).Templates()); n != 4 {
 		t.Errorf("2.0 C suite: %d tests", n)
 	}
 }
 
 func TestSuite20OnReference20(t *testing.T) {
-	res := NewSuite20(C).Iterations(2).Run(Reference20())
+	res := mustRunner(t, NewRunner20, C, WithIterations(2)).Run(Reference20())
 	if res.Failed() != 0 {
 		for _, r := range res.Results {
 			if r.Outcome.Failed() {
@@ -144,7 +155,7 @@ func TestSuite20OnReference20(t *testing.T) {
 		}
 	}
 	// On a 1.0 compiler every 2.0 test is (correctly) unsupported.
-	res10 := NewSuite20(C).Iterations(1).Run(Reference())
+	res10 := mustRunner(t, NewRunner20, C, WithIterations(1)).Run(Reference())
 	if res10.Passed() != 0 {
 		t.Errorf("2.0 features must not pass on a 1.0 compiler: %d passed", res10.Passed())
 	}

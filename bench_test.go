@@ -46,7 +46,7 @@ var (
 )
 
 // vendorSweep runs (or returns the cached) memoized sweep of every version
-// of one vendor in both languages — the engine behind accval -sweep.
+// of one vendor in both languages — the engine behind accval sweep.
 func vendorSweep(b *testing.B, vendor string) *sweep.Result {
 	b.Helper()
 	sweepMu.Lock()

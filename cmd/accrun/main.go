@@ -62,7 +62,7 @@ func main() {
 		fatal(err)
 	}
 
-	opts := []accv.RunOption{accv.WithSeed(*seed), accv.WithTimeout(*timeout)}
+	opts := []accv.Option{accv.WithSeed(*seed), accv.WithTimeout(*timeout)}
 	for _, kv := range strings.Split(*env, ",") {
 		if kv == "" {
 			continue

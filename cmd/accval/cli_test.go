@@ -1,7 +1,5 @@
-// cli_test pins the subcommand redesign: the legacy flat-flag form must
-// stay byte-identical on stdout to the equivalent subcommand (the shim
-// only adds a stderr deprecation notice), and the new diff/vet verbs
-// must behave per their documented exit-status contract.
+// cli_test pins the subcommand CLI: accval accepts only verbs, and each
+// verb behaves per its documented output and exit-status contract.
 package main
 
 import (
@@ -22,67 +20,77 @@ func capture(t *testing.T, argv ...string) (string, string, int) {
 	return out.String(), errb.String(), status
 }
 
-// stripDurations blanks the report's wall-clock line — the only
-// non-deterministic bytes in a text report — so two runs compare equal.
-func stripDurations(s string) string {
-	lines := strings.Split(s, "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(strings.TrimSpace(l), "Duration:") {
-			lines[i] = "Duration: X"
-		}
+func TestRunCommand(t *testing.T) {
+	out, errb, _ := capture(t, "run", "-compiler", "pgi", "-version", "13.2", "-family", "data", "-iterations", "1")
+	if errb != "" {
+		t.Errorf("`accval run` stderr not empty: %q", errb)
 	}
-	return strings.Join(lines, "\n")
-}
-
-func TestLegacyRunStdoutByteIdentical(t *testing.T) {
-	flags := []string{"-compiler", "pgi", "-version", "13.2", "-family", "data", "-iterations", "1"}
-	legacyOut, legacyErr, legacyStatus := capture(t, flags...)
-	subOut, subErr, subStatus := capture(t, append([]string{"run"}, flags...)...)
-
-	if stripDurations(legacyOut) != stripDurations(subOut) {
-		t.Errorf("legacy stdout differs from `accval run` stdout:\n--- legacy ---\n%s\n--- run ---\n%s", legacyOut, subOut)
-	}
-	if legacyStatus != subStatus {
-		t.Errorf("exit status: legacy %d, run %d", legacyStatus, subStatus)
-	}
-	if !strings.Contains(legacyErr, "deprecated") {
-		t.Errorf("legacy stderr missing deprecation notice: %q", legacyErr)
-	}
-	if subErr != "" {
-		t.Errorf("`accval run` stderr not empty: %q", subErr)
-	}
-	if !strings.Contains(subOut, "pgi 13.2") {
-		t.Errorf("report does not mention the compiler: %q", subOut)
+	if !strings.Contains(out, "pgi 13.2") {
+		t.Errorf("report does not mention the compiler: %q", out)
 	}
 }
 
-func TestLegacySweepStdoutByteIdentical(t *testing.T) {
-	flags := []string{"-compiler", "caps", "-family", "parallel", "-iterations", "1"}
-	legacyOut, legacyErr, legacyStatus := capture(t, append([]string{"-sweep"}, flags...)...)
-	subOut, _, subStatus := capture(t, append([]string{"sweep"}, flags...)...)
-
-	if legacyOut != subOut {
-		t.Errorf("legacy -sweep stdout differs from `accval sweep`:\n--- legacy ---\n%s\n--- sweep ---\n%s", legacyOut, subOut)
+func TestSweepCommand(t *testing.T) {
+	out, _, status := capture(t, "sweep", "-compiler", "caps", "-family", "parallel", "-iterations", "1")
+	if status != 0 {
+		t.Errorf("`accval sweep` exit status %d, want 0", status)
 	}
-	if legacyStatus != 0 || subStatus != 0 {
-		t.Errorf("exit status: legacy %d, sweep %d (want 0, 0)", legacyStatus, subStatus)
-	}
-	if !strings.Contains(legacyErr, "deprecated") {
-		t.Errorf("legacy stderr missing deprecation notice: %q", legacyErr)
-	}
-	if !strings.Contains(subOut, "Fig. 8 reproduction") {
-		t.Errorf("sweep table header missing: %q", subOut)
+	if !strings.Contains(out, "Fig. 8 reproduction") {
+		t.Errorf("sweep table header missing: %q", out)
 	}
 }
 
-func TestLegacyListAndBugs(t *testing.T) {
-	listOut, _, status := capture(t, "-list")
+// TestShardedSweepSharesStore pins the store-sharing contract across
+// differently partitioned sweeps: a serial sweep (-j 1) over a store
+// directory leaves entries a wide sweep (-j 16) then serves wholly from
+// disk (zero executions), and stdout stays identical. The worker width
+// is the partition that varies, so it must stay out of the store key.
+func TestShardedSweepSharesStore(t *testing.T) {
+	dir := t.TempDir()
+	flags := []string{"sweep", "-compiler", "pgi", "-family", "data", "-iterations", "1", "-store", dir}
+	coldOut, _, coldStatus := capture(t, append(flags, "-j", "1")...)
+	if coldStatus != 0 {
+		t.Fatalf("cold serial sweep exited %d", coldStatus)
+	}
+	warmOut, warmErr, warmStatus := capture(t, append(flags, "-j", "16")...)
+	if warmStatus != 0 {
+		t.Fatalf("warm wide sweep exited %d", warmStatus)
+	}
+	if warmOut != coldOut {
+		t.Errorf("warm wide stdout differs from cold serial stdout:\n--- cold ---\n%s\n--- warm ---\n%s", coldOut, warmOut)
+	}
+	// The warm run's store telemetry must report zero executions: every
+	// verdict came off the disk the serial sweep populated.
+	if want := " 0 executions this sweep\n"; !strings.Contains(warmErr, want) {
+		t.Errorf("warm sweep stderr %q does not report zero executions", warmErr)
+	}
+}
+
+func TestListAndBugsVerbs(t *testing.T) {
+	listOut, _, status := capture(t, "list")
 	if status != 0 || !strings.Contains(listOut, "parallel:") {
-		t.Errorf("-list: status %d, out %q", status, listOut)
+		t.Errorf("list: status %d, out %q", status, listOut)
 	}
-	bugsOut, _, status := capture(t, "-bugs", "-compiler", "pgi")
+	bugsOut, _, status := capture(t, "bugs", "-compiler", "pgi")
 	if status != 0 || !strings.Contains(bugsOut, "pgi bug database:") {
-		t.Errorf("-bugs: status %d, out %.80q", status, bugsOut)
+		t.Errorf("bugs: status %d, out %.80q", status, bugsOut)
+	}
+}
+
+// TestFlatFlagFormRejected pins that accval accepts only verbs: the
+// retired flat-flag form, a bare argv and an unknown verb all print
+// usage on stderr, write nothing to stdout, and exit 2.
+func TestFlatFlagFormRejected(t *testing.T) {
+	for _, argv := range [][]string{
+		{"-compiler", "pgi", "-sweep"},
+		{"-list"},
+		{},
+		{"frobnicate"},
+	} {
+		out, errb, status := capture(t, argv...)
+		if status != 2 || out != "" || !strings.Contains(errb, "usage: accval <command>") {
+			t.Errorf("accval %q: status %d, stdout %q, stderr %.80q; want 2, empty, usage", argv, status, out, errb)
+		}
 	}
 }
 
@@ -91,7 +99,7 @@ func TestHelpListsSubcommands(t *testing.T) {
 	if status != 0 {
 		t.Fatalf("help: status %d", status)
 	}
-	for _, verb := range []string{"run", "sweep", "vet", "diff"} {
+	for _, verb := range []string{"run", "sweep", "vet", "diff", "list", "bugs", "matrix"} {
 		if !strings.Contains(out, verb) {
 			t.Errorf("help output missing %q:\n%s", verb, out)
 		}

@@ -1,7 +1,6 @@
-// The shared flag surface: every subcommand (and the legacy shim)
-// registers from one cliFlags record, so the flat-flag form and the
-// subcommand forms cannot drift apart — cli_test.go pins their stdout
-// byte-identical.
+// The shared flag surface: every subcommand registers from one cliFlags
+// record, so run, sweep and matrix spell and default their common flags
+// identically.
 package main
 
 import (
@@ -16,13 +15,11 @@ import (
 	"accv/internal/interp"
 )
 
-// cliFlags gathers every accval flag; each registrar below installs the
-// subset its command understands.
+// cliFlags gathers every accval flag; registerCommon installs the shared
+// ones and each command registers its own.
 type cliFlags struct {
 	compiler, version, lang, family string
 	iterations                      int
-	format, out                     string
-	bugReport                       bool
 	trace, metrics, metricsFmt      string
 	jobs                            int
 	timeout                         time.Duration
@@ -30,23 +27,18 @@ type cliFlags struct {
 	retries                         int
 	vet, engine                     string
 
-	// run-only.
-	snapshot string
+	// run-only (the report and the release snapshot).
+	format, out string
+	bugReport   bool
+	snapshot    string
 	// sweep-only (the persistent result store; docs/STORE.md).
 	store       string
 	storeCap    int
 	snapshotDir string
-	// sweep sharding (docs/PERFORMANCE.md, "Sharded sweeps").
-	shards        int
-	workers       string
-	shardDeadline time.Duration
-	shardRetries  int
-	// legacy-shim selectors.
-	sweep, matrix, list, bugs bool
 }
 
 // registerCommon installs the execution flags shared by run, sweep, and
-// the legacy shim.
+// matrix.
 func (f *cliFlags) registerCommon(fs *flag.FlagSet) {
 	fs.StringVar(&f.compiler, "compiler", "reference", "compiler to validate: caps, pgi, cray, reference")
 	fs.StringVar(&f.version, "version", "", "compiler version (default: newest simulated release)")
@@ -64,30 +56,6 @@ func (f *cliFlags) registerCommon(fs *flag.FlagSet) {
 	fs.StringVar(&f.engine, "engine", "vm", "interpreter execution engine: vm (compiled bytecode, lane-batched where the oracle proves it) or tree (reference tree-walker)")
 }
 
-// registerReport installs the report-output flags (run and legacy).
-func (f *cliFlags) registerReport(fs *flag.FlagSet) {
-	fs.StringVar(&f.format, "format", "text", "report format: text, csv, or html")
-	fs.StringVar(&f.out, "o", "", "write the report to a file instead of stdout")
-	fs.BoolVar(&f.bugReport, "bugreport", false, "append the per-failure bug report with code snippets")
-}
-
-// registerStore installs the sweep-only result-store flags.
-func (f *cliFlags) registerStore(fs *flag.FlagSet) {
-	fs.StringVar(&f.store, "store", "", "persistent result-store directory: warm from and write through it (docs/STORE.md)")
-	fs.IntVar(&f.storeCap, "store-cap", 0, "result-store entry cap, LRU-evicted past it (0: default 65536, negative: unbounded)")
-	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "write one release snapshot per swept (version, lang) into this directory (for accval diff)")
-}
-
-// registerShard installs the sweep-sharding flags: fan the sweep out
-// across forked worker processes or remote accvd instances, all sharing
-// the -store directory (docs/PERFORMANCE.md, "Sharded sweeps").
-func (f *cliFlags) registerShard(fs *flag.FlagSet) {
-	fs.IntVar(&f.shards, "shards", 0, "fan the sweep out across N forked accval worker processes (0: run in-process)")
-	fs.StringVar(&f.workers, "workers", "", "comma-separated accvd base URLs to dispatch sweep units to (overrides -shards)")
-	fs.DurationVar(&f.shardDeadline, "shard-deadline", 0, "per-unit deadline before a sharded unit is re-queued (0: none)")
-	fs.IntVar(&f.shardRetries, "shard-retries", 3, "re-dispatch budget per sharded unit before the sweep fails")
-}
-
 // newFlagSet returns a ContinueOnError flag set writing usage to stderr.
 func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
@@ -96,7 +64,7 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 }
 
 // observer builds the shared run observer when -trace or -metrics asked
-// for one, validating -metrics-format eagerly (the legacy behavior).
+// for one, validating -metrics-format before anything runs.
 func (f *cliFlags) observer() (*accv.Observer, error) {
 	if f.trace == "" && f.metrics == "" {
 		return nil, nil

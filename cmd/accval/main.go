@@ -2,18 +2,18 @@
 // simulated compiler and reports the results — the paper's primary
 // workflow — through a subcommand CLI:
 //
-//	accval run   -compiler pgi -version 13.2 -lang c     # one suite run
-//	accval run   -compiler pgi -snapshot pgi-14.1.json   # + release snapshot
-//	accval sweep -compiler caps                          # Fig. 8 version sweep
-//	accval sweep -compiler caps -store ./results         # warm across processes
-//	accval vet   kernels.c saxpy.f90                     # static analysis only
-//	accval diff  pgi-13.2.json pgi-14.1.json             # cross-release deltas
+//	accval run    -compiler pgi -version 13.2 -lang c     # one suite run
+//	accval run    -compiler pgi -snapshot pgi-14.1.json   # + release snapshot
+//	accval sweep  -compiler caps                          # Fig. 8 version sweep
+//	accval sweep  -compiler caps -store ./results         # warm across processes
+//	accval vet    kernels.c saxpy.f90                     # static analysis only
+//	accval diff   pgi-13.2.json pgi-14.1.json             # cross-release deltas
+//	accval list                                           # registered features
+//	accval bugs   -compiler pgi                           # Table I ground truth
+//	accval matrix -lang c                                 # feature × compiler table
 //
 // `accval help` prints the subcommand summary; every subcommand takes -h.
-// The historical flat-flag invocation (`accval -compiler pgi -sweep`)
-// still works through a legacy shim that prints a one-line deprecation
-// notice on stderr; its stdout is byte-identical to the equivalent
-// subcommand (pinned by cli_test.go).
+// An argv that does not start with a subcommand is a usage error.
 //
 // Exit status: 0 on success, 1 when the suite recorded failures (or the
 // diff recorded regressions), 2 on usage or input errors.
@@ -41,12 +41,13 @@ var subcommands = []subcommand{
 	{"sweep", "validate every simulated release of a vendor (memoized; -store keeps it warm across processes)", cmdSweep},
 	{"vet", "run the accvet static analyzers over standalone sources", cmdVet},
 	{"diff", "classify per-template deltas between two release snapshots", cmdDiff},
+	{"list", "list the registered test features by family", cmdList},
+	{"bugs", "print a vendor's bug database (the ground truth behind Table I)", cmdBugs},
+	{"matrix", "print the feature × compiler pass/fail matrix (the table §VI omits)", cmdMatrix},
 }
 
-// dispatch routes argv: a known subcommand verb runs it; anything else —
-// including the bare flat-flag form — falls through to the legacy shim
-// with a one-line deprecation notice on stderr, stdout byte-identical to
-// the subcommand form.
+// dispatch routes argv to its subcommand. Anything else is a usage
+// error: usage goes to stderr, nothing to stdout, and the status is 2.
 func dispatch(argv []string, stdout, stderr io.Writer) int {
 	if len(argv) > 0 {
 		for _, sc := range subcommands {
@@ -58,14 +59,11 @@ func dispatch(argv []string, stdout, stderr io.Writer) int {
 		case "help", "-help", "--help", "-h":
 			usage(stdout)
 			return 0
-		case "shard-worker":
-			// Hidden: the stdio worker `accval sweep -shards N` forks;
-			// not in the subcommand table because it is not for humans.
-			return cmdShardWorker(argv[1:], stdout, stderr)
 		}
+		fmt.Fprintf(stderr, "accval: unknown command %q\n\n", argv[0])
 	}
-	fmt.Fprintln(stderr, "accval: the flat-flag form is deprecated; use `accval run`, `accval sweep`, `accval vet`, or `accval diff` (same flags — see `accval help`)")
-	return cmdLegacy(argv, stdout, stderr)
+	usage(stderr)
+	return 2
 }
 
 func usage(w io.Writer) {

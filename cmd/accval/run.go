@@ -15,7 +15,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	var f cliFlags
 	fs := newFlagSet("accval run", stderr)
 	f.registerCommon(fs)
-	f.registerReport(fs)
+	fs.StringVar(&f.format, "format", "text", "report format: text, csv, or html")
+	fs.StringVar(&f.out, "o", "", "write the report to a file instead of stdout")
+	fs.BoolVar(&f.bugReport, "bugreport", false, "append the per-failure bug report with code snippets")
 	fs.StringVar(&f.snapshot, "snapshot", "", "also write a release snapshot (JSON) for `accval diff`")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -24,13 +26,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	return execSuite(&f, observer, stdout, stderr)
-}
-
-// execSuite is the shared one-compiler suite path; `accval run` and the
-// legacy flat-flag form both funnel through it, which is what keeps
-// their stdout byte-identical (cli_test.go).
-func execSuite(f *cliFlags, observer *accv.Observer, stdout, stderr io.Writer) int {
 	langs, err := parseLangs(f.lang)
 	if err != nil {
 		return fail(stderr, err)

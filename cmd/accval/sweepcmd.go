@@ -17,8 +17,9 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	var f cliFlags
 	fs := newFlagSet("accval sweep", stderr)
 	f.registerCommon(fs)
-	f.registerStore(fs)
-	f.registerShard(fs)
+	fs.StringVar(&f.store, "store", "", "persistent result-store directory: warm from and write through it (docs/STORE.md)")
+	fs.IntVar(&f.storeCap, "store-cap", 0, "result-store entry cap, LRU-evicted past it (0: default 65536, negative: unbounded)")
+	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "write one release snapshot per swept (version, lang) into this directory (for accval diff)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -26,29 +27,17 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	return execSweep(&f, observer, stdout, stderr)
-}
-
-// execSweep runs the memoized cross-version sweep and prints the legacy
-// pass-rate table; the flat-flag -sweep form funnels through it too, so
-// the table bytes cannot drift (cli_test.go). Store telemetry goes to
-// stderr only, keeping stdout identical with and without -store.
-func execSweep(f *cliFlags, observer *accv.Observer, stdout, stderr io.Writer) int {
 	langs, err := parseLangs(f.lang)
 	if err != nil {
 		return fail(stderr, err)
-	}
-	if f.shards > 0 || f.workers != "" {
-		return execShardedSweep(f, langs, observer, stdout, stderr)
 	}
 	runOpts, err := f.runOptions(observer)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	opts := append(append([]accv.Option(nil), runOpts...), accv.WithLangs(langs...))
-	var st *accv.ResultStore
+	opts := append(runOpts, accv.WithLangs(langs...))
 	if f.store != "" {
-		st, err = accv.OpenStore(f.store, accv.WithObs(observer), accv.WithStoreCap(f.storeCap))
+		st, err := accv.OpenStore(f.store, accv.WithObs(observer), accv.WithStoreCap(f.storeCap))
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -58,15 +47,9 @@ func execSweep(f *cliFlags, observer *accv.Observer, stdout, stderr io.Writer) i
 	if err != nil {
 		return fail(stderr, err)
 	}
-	return finishSweep(f, observer, res, stdout, stderr)
-}
-
-// finishSweep renders a completed sweep — in-process or sharded — the
-// same way: the Fig. 8 table on stdout, store telemetry on stderr,
-// snapshots, then the observability exports. Shared so the sharded
-// path's bytes cannot drift from the unsharded one's.
-func finishSweep(f *cliFlags, observer *accv.Observer, res *accv.SweepResult, stdout, stderr io.Writer) int {
 	printSweepTable(stdout, f.compiler, res)
+	// Store telemetry goes to stderr only, keeping stdout identical with
+	// and without -store.
 	if f.store != "" {
 		fmt.Fprintf(stderr, "accval: store %s: %d disk hits, %d memo hits, %d executions this sweep\n",
 			f.store, res.StoreHits, res.MemoHits, res.MemoMisses)
@@ -82,8 +65,7 @@ func finishSweep(f *cliFlags, observer *accv.Observer, res *accv.SweepResult, st
 	return 0
 }
 
-// printSweepTable renders the Fig. 8 pass-rate table — byte-identical to
-// the historical flat-flag output.
+// printSweepTable renders the Fig. 8 pass-rate table.
 func printSweepTable(w io.Writer, vendor string, res *accv.SweepResult) {
 	fmt.Fprintf(w, "Pass rate (%%) by %s version — Fig. 8 reproduction\n\n", vendor)
 	fmt.Fprintf(w, "%-10s", "version")

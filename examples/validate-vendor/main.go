@@ -24,7 +24,12 @@ func main() {
 	}
 
 	for _, lang := range []accv.Language{accv.C, accv.Fortran} {
-		res := accv.NewSuite(lang).Iterations(3).Run(tc)
+		r, err := accv.NewRunner(lang, accv.WithIterations(3))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		res := r.Run(tc)
 		fmt.Printf("== %s %s, %s tests: %d/%d passed (%.1f%%) ==\n",
 			res.Compiler, res.Version, lang, res.Passed(), res.Total(), res.PassRate())
 		byOutcome := res.ByOutcome()
@@ -48,7 +53,7 @@ func main() {
 			}
 			lines := strings.SplitN(sb.String(), "\n", 40)
 			fmt.Println(strings.Join(lines[:min(len(lines), 39)], "\n"))
-			fmt.Println("   ... (full report via: accval -compiler pgi -version 13.2 -bugreport)")
+			fmt.Println("   ... (full report via: accval run -compiler pgi -version 13.2 -bugreport)")
 			fmt.Println()
 		}
 	}

@@ -51,10 +51,10 @@ type regionInfo struct {
 	cond    bool // has a non-constant if() clause: effects are conditional
 
 	// Device-side access sets (compute regions only).
-	writes    map[string]bool     // vars the kernel may write (privates excluded)
-	writeLine map[string]int      // first write line per var, for messages
+	writes    map[string]bool      // vars the kernel may write (privates excluded)
+	writeLine map[string]int       // first write line per var, for messages
 	uninit    map[string][]ast.Pos // array reads not preceded by a kernel write
-	reduction map[string]bool     // reduction vars (any level inside the region)
+	reduction map[string]bool      // reduction vars (any level inside the region)
 
 	async    bool
 	queue    int64
@@ -64,7 +64,7 @@ type regionInfo struct {
 // event is one atomic step of the abstract host/device machine.
 type event struct {
 	op   opKind
-	name string  // variable, for host access / havoc events
+	name string // variable, for host access / havoc events
 	pos  ast.Pos
 
 	region *regionInfo // opKernel/opEnter/opExit

@@ -30,10 +30,10 @@ const (
 // varState is the abstract state of one variable.
 type varState struct {
 	st    copyState
-	owner int                 // nesting depth that mapped it; -1 when unmapped, 0 persistent
+	owner int                  // nesting depth that mapped it; -1 when unmapped, 0 persistent
 	kind  directive.ClauseKind // mapping clause kind (decides copy-back at exit)
-	pend  bool                // an async transfer of this variable is in flight
-	queue int64               // queue of the pending transfer
+	pend  bool                 // an async transfer of this variable is in flight
+	queue int64                // queue of the pending transfer
 }
 
 var noState = varState{st: stUnmapped, owner: -1}

@@ -196,8 +196,8 @@ func TestCorpusSuppressionRoundTrip(t *testing.T) {
 func ExampleWriteText() {
 	findings := []analysis.Finding{{
 		ID: "ACV001", Sev: analysis.Warning,
-		Pos:     ast.Pos{Line: 12, Col: 9},
-		Func:    "acc_test", Var: "a",
+		Pos:  ast.Pos{Line: 12, Col: 9},
+		Func: "acc_test", Var: "a",
 		Message: `host reads "a" but the device copy was modified`,
 	}}
 	var sb strings.Builder

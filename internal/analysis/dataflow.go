@@ -484,8 +484,8 @@ type def struct {
 
 // reachDefs is the solved reaching-definitions problem.
 type reachDefs struct {
-	defs   []def
-	in     map[*block]map[int]bool
+	defs    []def
+	in      map[*block]map[int]bool
 	byEvent map[*block][][]int // def indices generated by each event
 	byVar   map[string][]int
 }

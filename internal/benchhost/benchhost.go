@@ -8,7 +8,7 @@ package benchhost
 import "runtime"
 
 // Cores is the host's logical CPU count — the ceiling any multi-process
-// measurement (forked shard workers, re-exec'd store writers) can use.
+// measurement (re-exec'd store writers) can use.
 func Cores() int { return runtime.NumCPU() }
 
 // Procs is this process's scheduler width — the ceiling any in-process

@@ -40,42 +40,42 @@ import (
 // time), and "once" marks instructions that execute once per batch step
 // rather than once per lane.
 const (
-	BNop Op = iota
-	BTick       // charge one interpreted operation per active lane
-	BConst      // R[A] = Consts[B]  (uniform)
-	BLoadU      // R[A] = load of outer O[B]: scalar value, array decay, or runtime constant (once)
-	BStoreU     // outer scalar O[A] = R[B]  (once; R[B] uniform)
-	BAugU       // outer scalar O[A] = O[A] <D> R[B]  (once; R[B] uniform)
-	BLoadL      // R[A] = L[B]  (varying copy)
-	BStoreL     // L[A] = convert(R[B]) per active lane
-	BAugL       // L[A] = L[A] <D> R[B] per active lane
-	BDecl       // L[A] = zero of kind C, or convert(R[B]) when B >= 0, per active lane
-	BLoadIdx    // R[A] = O[B][ R[C] .. R[C+D-1] ] per active lane
-	BStoreIdx   // O[A][ R[B] .. R[B+C-1] ] = R[D] per active lane
-	BAugIdx     // O[A][ R[B] .. R[B+C-1] ] <E>= R[D] per active lane
-	BBin        // R[A] = R[B] <D> R[C] per active lane (uniform when both operands are)
-	BUn         // R[A] = <D> R[B]
-	BBool       // R[A] = Bool(Truth(R[A]))
-	BAndMerge   // R[A] = Truth(R[B]) ? Bool(Truth(R[C])) : 0 per active lane
-	BOrMerge    // R[A] = Truth(R[B]) ? 1 : Bool(Truth(R[C])) per active lane
-	BJump       // pc = A
-	BJumpEmpty  // if the mask is empty, pc = A
-	BJumpUFalse // if !Truth(R[A]) pc = B  (R[A] uniform)
-	BMaskPush   // push an if-frame; active = active lanes where Truth(R[A])
-	BMaskInv    // push a frame; active = active lanes where !Truth(R[A]) (short-circuit RHS)
-	BMaskElse   // active = the pushed frame's complement lanes
-	BMaskPop    // pop the top mask frame
-	BMaskLoop   // push a loop frame (active unchanged)
-	BMaskNarrow // active = active lanes where Truth(R[A])
-	BRed        // reduction A: acc[worker(lane)] = acc <D> R[B], ascending lane order
-	BDoInit     // L[A]=cnt, L[A+1]=limit, L[A+2]=step from R[B..B+2]; error on zero step
-	BDoCond     // narrow mask to lanes whose do-counter triple L[A..A+2] continues
-	BDoIv       // L[A] = Int(counter L[B]) per active lane
-	BDoNext     // counter L[A] += step L[A+2] per active lane
-	BDoUZero    // if R[A+2] (uniform step) is zero, error
-	BDoUCond    // if uniform do triple R[A..A+2] is done, pc = B
-	BDoUNext    // R[A] += R[A+2]  (uniform)
-	BEndBatch   // fall off the end of the batch body
+	BNop        Op = iota
+	BTick          // charge one interpreted operation per active lane
+	BConst         // R[A] = Consts[B]  (uniform)
+	BLoadU         // R[A] = load of outer O[B]: scalar value, array decay, or runtime constant (once)
+	BStoreU        // outer scalar O[A] = R[B]  (once; R[B] uniform)
+	BAugU          // outer scalar O[A] = O[A] <D> R[B]  (once; R[B] uniform)
+	BLoadL         // R[A] = L[B]  (varying copy)
+	BStoreL        // L[A] = convert(R[B]) per active lane
+	BAugL          // L[A] = L[A] <D> R[B] per active lane
+	BDecl          // L[A] = zero of kind C, or convert(R[B]) when B >= 0, per active lane
+	BLoadIdx       // R[A] = O[B][ R[C] .. R[C+D-1] ] per active lane
+	BStoreIdx      // O[A][ R[B] .. R[B+C-1] ] = R[D] per active lane
+	BAugIdx        // O[A][ R[B] .. R[B+C-1] ] <E>= R[D] per active lane
+	BBin           // R[A] = R[B] <D> R[C] per active lane (uniform when both operands are)
+	BUn            // R[A] = <D> R[B]
+	BBool          // R[A] = Bool(Truth(R[A]))
+	BAndMerge      // R[A] = Truth(R[B]) ? Bool(Truth(R[C])) : 0 per active lane
+	BOrMerge       // R[A] = Truth(R[B]) ? 1 : Bool(Truth(R[C])) per active lane
+	BJump          // pc = A
+	BJumpEmpty     // if the mask is empty, pc = A
+	BJumpUFalse    // if !Truth(R[A]) pc = B  (R[A] uniform)
+	BMaskPush      // push an if-frame; active = active lanes where Truth(R[A])
+	BMaskInv       // push a frame; active = active lanes where !Truth(R[A]) (short-circuit RHS)
+	BMaskElse      // active = the pushed frame's complement lanes
+	BMaskPop       // pop the top mask frame
+	BMaskLoop      // push a loop frame (active unchanged)
+	BMaskNarrow    // active = active lanes where Truth(R[A])
+	BRed           // reduction A: acc[worker(lane)] = acc <D> R[B], ascending lane order
+	BDoInit        // L[A]=cnt, L[A+1]=limit, L[A+2]=step from R[B..B+2]; error on zero step
+	BDoCond        // narrow mask to lanes whose do-counter triple L[A..A+2] continues
+	BDoIv          // L[A] = Int(counter L[B]) per active lane
+	BDoNext        // counter L[A] += step L[A+2] per active lane
+	BDoUZero       // if R[A+2] (uniform step) is zero, error
+	BDoUCond       // if uniform do triple R[A..A+2] is done, pc = B
+	BDoUNext       // R[A] += R[A+2]  (uniform)
+	BEndBatch      // fall off the end of the batch body
 )
 
 // BatchProc is one lowered nest body, immutable and shared across every

@@ -63,14 +63,16 @@ func runSuite(ctx context.Context, cfg Config, templates []*Template) (*SuiteRes
 	defer cancelRun()
 
 	// The queue holds every template index up front; queueDepth tracks
-	// how many are enqueued but not yet claimed by a worker.
+	// how many are enqueued but not yet claimed by a worker. depthMu
+	// orders each decrement with its gauge update, so the last value
+	// published is the final depth.
 	jobs := make(chan int, len(templates))
 	for i := range templates {
 		jobs <- i
 	}
 	close(jobs)
-	var queueDepth atomic.Int64
-	queueDepth.Store(int64(len(templates)))
+	var depthMu sync.Mutex
+	queueDepth := len(templates)
 
 	workers := cfg.Workers
 	if workers > len(templates) {
@@ -84,9 +86,13 @@ func runSuite(ctx context.Context, cfg Config, templates []*Template) (*SuiteRes
 			defer wg.Done()
 			workerLabel := obs.L("worker", strconv.Itoa(worker))
 			for i := range jobs {
-				depth := queueDepth.Add(-1)
+				depthMu.Lock()
+				queueDepth--
 				if cfg.Obs != nil {
-					cfg.Obs.SetGauge("accv_suite_queue_depth", float64(depth))
+					cfg.Obs.SetGauge("accv_suite_queue_depth", float64(queueDepth))
+				}
+				depthMu.Unlock()
+				if cfg.Obs != nil {
 					cfg.Obs.SetGauge("accv_suite_worker_busy", 1, workerLabel)
 				}
 				if runCtx.Err() != nil {

@@ -156,8 +156,8 @@ func (p VetPolicy) String() string {
 	return "enforce"
 }
 
-// ParseVetPolicy maps a vet policy name — the accval -vet flag, the accvd
-// "vet" field and the shard wire spec — onto a VetPolicy; "" enforces.
+// ParseVetPolicy maps a vet policy name — the accval -vet flag and the
+// accvd "vet" field — onto a VetPolicy; "" enforces.
 func ParseVetPolicy(s string) (VetPolicy, error) {
 	switch s {
 	case "on", "", "true", "enforce":

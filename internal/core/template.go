@@ -109,10 +109,10 @@ const genCacheCap = 8192
 
 // GenerateCached is Generate through the per-template expansion cache:
 // the first call per (template, inputs) pays expand+wrap, later calls —
-// every other sweep cell, every fingerprint probe, every shard worker
-// unit touching the template — return the shared strings. Results alias
-// the cached copy; callers must not mutate them (Generate's are equally
-// shared by value semantics: strings are immutable).
+// every other sweep cell and every fingerprint probe touching the
+// template — return the shared strings. Results alias the cached copy;
+// callers must not mutate them (Generate's are equally shared by value
+// semantics: strings are immutable).
 func (t *Template) GenerateCached() (functional, cross string, hasCross bool, err error) {
 	if v, ok := genCache.Load(t); ok {
 		g := v.(*genResult)

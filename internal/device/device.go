@@ -254,7 +254,8 @@ func (d *Device) Free(p mem.Ptr) error {
 // is synchronous; otherwise it is enqueued on q in FIFO order and Launch
 // returns immediately. The kernel function receives the gang index; errors
 // from any gang abort the kernel and surface either directly (sync) or at
-// the next wait (async).
+// the next wait (async). When several gangs fail, the lowest-numbered
+// gang's error is the one reported (LaneError).
 func (d *Device) Launch(q *Queue, gangs int, kernel func(gang int) error) error {
 	if gangs < 1 {
 		gangs = 1
@@ -265,23 +266,16 @@ func (d *Device) Launch(q *Queue, gangs int, kernel func(gang int) error) error 
 	run := func() error {
 		d.Stats.Kernels.Add(1)
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var first error
+		var failed LaneError
 		for g := 0; g < gangs; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if err := kernel(g); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-				}
+				failed.Record(g, kernel(g))
 			}(g)
 		}
 		wg.Wait()
-		return first
+		return failed.Err()
 	}
 	if q == nil {
 		return run()
@@ -289,6 +283,36 @@ func (d *Device) Launch(q *Queue, gangs int, kernel func(gang int) error) error 
 	d.Stats.AsyncKernels.Add(1)
 	q.Enqueue(run)
 	return nil
+}
+
+// LaneError collects the failures of lanes that run concurrently — gangs,
+// worker lanes — and keeps the lowest-numbered lane's error, so the error
+// a kernel reports does not depend on which goroutine the scheduler
+// finished first. The zero value is ready to use and safe for concurrent
+// use.
+type LaneError struct {
+	mu   sync.Mutex
+	lane int
+	err  error
+}
+
+// Record notes lane's failure; a nil err is ignored.
+func (e *LaneError) Record(lane int, err error) {
+	if err == nil {
+		return
+	}
+	e.mu.Lock()
+	if e.err == nil || lane < e.lane {
+		e.lane, e.err = lane, err
+	}
+	e.mu.Unlock()
+}
+
+// Err returns the lowest-numbered failing lane's error, or nil.
+func (e *LaneError) Err() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.err
 }
 
 // Queue returns (creating on demand) the async queue for the given tag.

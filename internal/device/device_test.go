@@ -325,6 +325,21 @@ func TestLaunchErrorPropagation(t *testing.T) {
 	}
 }
 
+func TestLaneErrorKeepsLowestLane(t *testing.T) {
+	var e LaneError
+	if e.Err() != nil {
+		t.Fatal("zero LaneError must report no error")
+	}
+	e1, e2, e3 := errors.New("lane 1"), errors.New("lane 2"), errors.New("lane 3")
+	e.Record(3, e3)
+	e.Record(1, e1)
+	e.Record(2, e2)
+	e.Record(0, nil)
+	if e.Err() != e1 {
+		t.Fatalf("want the lowest failing lane's error, got %v", e.Err())
+	}
+}
+
 func TestLaunchGangLimit(t *testing.T) {
 	d := New(Config{Backend: Backend{Name: "tiny", GangLimit: 2, WorkerLimit: 1, VectorLimit: 1, CycleScale: 1}})
 	if err := d.Launch(nil, 3, func(int) error { return nil }); err == nil {

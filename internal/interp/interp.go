@@ -49,8 +49,8 @@ func (e Engine) String() string {
 	return "vm"
 }
 
-// ParseEngine maps an engine name — the accval -engine flag, the accvd
-// "engine" field and the shard wire spec — onto an Engine; "" is EngineVM.
+// ParseEngine maps an engine name — the accval -engine flag and the accvd
+// "engine" field — onto an Engine; "" is EngineVM.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "vm", "":

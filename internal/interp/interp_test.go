@@ -133,6 +133,34 @@ int acc_test() {
 	}
 }
 
+// TestFailingLanesReportLowestLane pins the error a kernel reports when
+// several gangs, or several worker lanes, fail: gang or worker g stores
+// out of bounds at index 8+g, and every run under every engine and seed
+// must report lane 0's index, whichever lane the scheduler ran first.
+func TestFailingLanesReportLowestLane(t *testing.T) {
+	for _, level := range []string{"gang", "worker"} {
+		src := `
+int acc_test() {
+    int a[8];
+    int i;
+    #pragma acc parallel copy(a) num_gangs(4) num_workers(4)
+    {
+        #pragma acc loop ` + level + `
+        for (i = 0; i < 4; i++) a[i + 8] = i;
+    }
+    return 1;
+}`
+		for _, eng := range []interp.Engine{interp.EngineVM, interp.EngineTree} {
+			for seed := int64(1); seed <= 20; seed++ {
+				res := run(t, src, interp.RunConfig{Engine: eng, Seed: seed})
+				if res.Err == nil || !strings.Contains(res.Err.Error(), "index 8 out of range") {
+					t.Fatalf("%s lanes, %s engine, seed %d: got %v, want lane 0's index 8", level, eng, seed, res.Err)
+				}
+			}
+		}
+	}
+}
+
 func asRuntimeError(err error, out **interp.RuntimeError) bool {
 	re, ok := err.(*interp.RuntimeError)
 	if ok {

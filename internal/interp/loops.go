@@ -8,6 +8,7 @@ import (
 
 	"accv/internal/ast"
 	"accv/internal/compiler"
+	"accv/internal/device"
 	"accv/internal/mem"
 )
 
@@ -342,8 +343,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		raceInv = in.rc.id()
 	}
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
+	var failed device.LaneError
 	var maxOps atomic.Int64
 	partials := make([][]mem.Value, W)
 
@@ -356,7 +356,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		} else {
 			batched = true
 			in.spmdBatched.Add(1)
-			firstErr = c.runBatch(bp, loops, total, G, gi, W, reds, partials)
+			failed.Record(0, c.runBatch(bp, loops, total, G, gi, W, reds, partials))
 		}
 	}
 
@@ -364,15 +364,11 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		defer wg.Done()
 		defer func() {
 			if rec := recover(); rec != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					if s, ok := rec.(stopSignal); ok {
-						firstErr = s.err
-					} else {
-						firstErr = &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)}
-					}
+				if s, ok := rec.(stopSignal); ok {
+					failed.Record(int(w), s.err)
+				} else {
+					failed.Record(int(w), &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)})
 				}
-				errMu.Unlock()
 			}
 		}()
 		lk := *k
@@ -462,11 +458,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 			}
 			l.ctx.tick()
 			if _, err := l.ctx.exec(body); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
+				failed.Record(int(w), err)
 				return
 			}
 		}
@@ -495,8 +487,8 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		// which is exactly the §II performance observation.
 		k.ops += maxOps.Load()
 	}
-	if firstErr != nil {
-		return firstErr
+	if err := failed.Err(); err != nil {
+		return err
 	}
 
 	// Combine reduction partials into the enclosing bindings.

@@ -396,100 +396,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleShardRun executes one sweep work unit for a remote shard
-// coordinator (`accval sweep -workers http://...` — docs/PERFORMANCE.md,
-// "Sharded sweeps"). Units run through the daemon's shared compile
-// cache, memo table, and pinned -store, so they dedupe against local
-// sweep requests and against units from other coordinators; the
-// request's spec.store_dir/store_cap are ignored. Admission charges the
-// unit's template span, not the whole cell, so a re-split straggler
-// half-unit holds half the budget.
-func (s *Server) handleShardRun(w http.ResponseWriter, r *http.Request) {
-	var req ShardRunRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	lang, err := parseLang(req.Unit.Lang)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
-	}
-	if _, err := core.ParseVetPolicy(req.Spec.Vet); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
-	}
-	if _, err := interp.ParseEngine(req.Spec.Engine); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
-	}
-	if req.Spec.Iterations < 0 || req.Spec.Parallelism < 0 || req.Spec.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "iterations, parallelism, and timeout_ms must be non-negative")
-		return
-	}
-	versions := accv.Versions(req.Unit.Vendor)
-	if len(versions) == 0 {
-		writeError(w, http.StatusBadRequest, codeUnknownCompiler,
-			"no simulated versions for vendor "+req.Unit.Vendor+" (want caps, pgi, or cray)")
-		return
-	}
-	// A unit's version always comes off the coordinator's sweep grid, so
-	// one outside the simulated release list is a malformed unit, not a
-	// request for a best-effort toolchain.
-	validVersion := false
-	for _, v := range versions {
-		if v == req.Unit.Version {
-			validVersion = true
-			break
-		}
-	}
-	if !validVersion {
-		writeError(w, http.StatusBadRequest, codeUnknownCompiler,
-			fmt.Sprintf("version %q is not a simulated %s release (want one of %s)",
-				req.Unit.Version, req.Unit.Vendor, strings.Join(versions, ", ")))
-		return
-	}
-	n := 0
-	for _, t := range accv.AllTemplates() {
-		if t.Lang == lang && (req.Spec.Family == "" || t.Family == req.Spec.Family) {
-			n++
-		}
-	}
-	from, to := req.Unit.From, req.Unit.To
-	if to == 0 || to > n {
-		to = n
-	}
-	if from < 0 || from > to {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			fmt.Sprintf("unit range [%d:%d) outside the %d-template cell", req.Unit.From, req.Unit.To, n))
-		return
-	}
-	cost := int64(to-from) * int64(2*orDefault(req.Spec.Iterations, 3)) * defaultRunOps
-	release, ok := s.admit(w, r, cost)
-	if !ok {
-		return
-	}
-	defer release()
-
-	spec := req.Spec
-	spec.StoreDir, spec.StoreCap = "", 0 // persistence is pinned to the daemon's own -store
-	if s.cfg.NoMemo {
-		spec.NoMemo = true
-	}
-	if spec.Parallelism == 0 {
-		spec.Parallelism = s.cfg.DefaultParallelism
-	}
-	res, runErr := s.shardExec.Run(r.Context(), req.Unit, spec)
-	if runErr != nil {
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, codeCanceled, runErr.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, codeInternal, runErr.Error())
-		return
-	}
-	writeJSON(w, res)
-}
-
 // handleDiff classifies the per-template deltas between two inline
 // release snapshots — the service form of `accval diff`. Diffing is pure
 // computation over the request body (no compilation, no execution), so it

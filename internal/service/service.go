@@ -33,7 +33,6 @@ import (
 	"accv"
 	"accv/internal/core"
 	"accv/internal/obs"
-	"accv/internal/shard"
 )
 
 // Config parameterizes a Server. The zero value serves with the
@@ -89,14 +88,13 @@ func (c Config) withDefaults() Config {
 // admission controller, and observer behind an http.Handler. Build with
 // New; a Server is safe for concurrent use.
 type Server struct {
-	cfg       Config
-	obs       *accv.Observer
-	cache     *accv.CompileCache
-	memo      *accv.MemoTable
-	store     *accv.ResultStore // nil without Config.StoreDir
-	adm       *core.Admission
-	mux       *http.ServeMux
-	shardExec *shard.Executor // unit executor behind POST /v1/shard/run
+	cfg   Config
+	obs   *accv.Observer
+	cache *accv.CompileCache
+	memo  *accv.MemoTable
+	store *accv.ResultStore // nil without Config.StoreDir
+	adm   *core.Admission
+	mux   *http.ServeMux
 
 	suiteFlights *flightGroup
 
@@ -132,15 +130,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.store = st
 	}
-	// Shard units run through the same shared cache, memo, and store as
-	// local sweep requests, so units from remote coordinators dedupe
-	// against everything else the daemon serves. The store is pinned
-	// here; clients' spec.store_dir is ignored by the handler.
-	execOpts := shard.ExecOptions{Obs: s.obs, Cache: s.cache, Memo: s.memo}
-	if s.store != nil {
-		execOpts.Store = s.store
-	}
-	s.shardExec = shard.NewExecutor(execOpts)
 	s.mux = http.NewServeMux()
 	for _, ep := range endpoints {
 		h := ep.handler
@@ -168,7 +157,6 @@ var endpoints = []endpoint{
 	{"suite", "POST /v1/suite", (*Server).handleSuite},
 	{"suite_stream", "POST /v1/suite/stream", (*Server).handleSuiteStream},
 	{"sweep", "POST /v1/sweep", (*Server).handleSweep},
-	{"shard_run", "POST /v1/shard/run", (*Server).handleShardRun},
 	{"diff", "POST /v1/diff", (*Server).handleDiff},
 }
 

@@ -16,7 +16,6 @@ import (
 	"accv/internal/compiler"
 	"accv/internal/core"
 	"accv/internal/interp"
-	"accv/internal/shard"
 )
 
 // Error codes of the error envelope (docs/SERVICE.md, "Errors").
@@ -283,18 +282,6 @@ type SweepResponse struct {
 	StoreHits  int64         `json:"store_hits"`
 	DurationMS int64         `json:"duration_ms"`
 }
-
-// ShardRunRequest executes one sweep work unit (POST /v1/shard/run): a
-// contiguous template range of one (vendor, version, lang) cell plus the
-// run-shaping spec, exactly as `accval sweep -workers` dispatches them.
-// The daemon ignores the spec's store_dir/store_cap — persistence is
-// pinned by its own -store flag, so remote coordinators cannot point the
-// daemon at arbitrary directories (docs/SERVICE.md).
-type ShardRunRequest = shard.RunRequest
-
-// ShardRunResponse is the completed unit: the per-template results for
-// the unit's slots in slot order, plus the worker-side memo telemetry.
-type ShardRunResponse = shard.UnitResult
 
 // DiffRequest compares two release snapshots (POST /v1/diff). The
 // snapshots travel inline, in exactly the JSON form `accval run

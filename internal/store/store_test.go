@@ -1,8 +1,10 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -215,6 +218,41 @@ func TestUnstorableKeys(t *testing.T) {
 	}
 }
 
+// startWriters re-execs this test binary as one TestStoreWriterHelper
+// process per id, each Putting n entries into dir under its id's key
+// prefix. Every child runs under a context the test's cleanup cancels,
+// and the cleanup waits for every child to exit, so a failed test never
+// leaves a writer running against its removed TempDir. The returned
+// wait blocks until every child has exited and reports all failures.
+func startWriters(t *testing.T, dir string, n int, ids ...string) (wait func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run", "TestStoreWriterHelper", "-test.count=1")
+		cmd.Env = append(os.Environ(),
+			"ACCV_STORE_HELPER_DIR="+dir,
+			"ACCV_STORE_HELPER_ID="+id,
+			fmt.Sprintf("ACCV_STORE_HELPER_N=%d", n))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if out, err := cmd.CombinedOutput(); err != nil {
+				errs[i] = fmt.Errorf("writer %s: %v: %s", id, err, out)
+			}
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	return func() error {
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+}
+
 // TestConcurrentProcessWriters exercises the cross-process writer path
 // for real: a child test process and this one interleave Puts into the
 // same directory (serialized by the flock'd lock file), and every entry
@@ -224,24 +262,15 @@ func TestConcurrentProcessWriters(t *testing.T) {
 		t.Skip("helper invocation")
 	}
 	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run", "TestStoreWriterHelper", "-test.count=1")
-	cmd.Env = append(os.Environ(), "ACCV_STORE_HELPER_DIR="+dir)
-	done := make(chan error, 1)
-	go func() {
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			err = fmt.Errorf("%v: %s", err, out)
-		}
-		done <- err
-	}()
+	wait := startWriters(t, dir, 50, "child")
 
 	s := open(t, dir, Options{})
 	res := core.TestResult{Name: "parent", Outcome: core.Pass}
 	for i := 0; i < 50; i++ {
 		s.Put(fp(fmt.Sprintf("parent-%d", i)), res)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("helper process: %v", err)
+	if err := wait(); err != nil {
+		t.Fatal(err)
 	}
 
 	merged := open(t, dir, Options{})
@@ -262,24 +291,18 @@ func TestConcurrentProcessWriters(t *testing.T) {
 }
 
 // TestStoreWriterHelper is the child half of the multi-process tests; it
-// only does real work when re-exec'd with ACCV_STORE_HELPER_DIR set.
-// ACCV_STORE_HELPER_ID names this writer's key prefix (default "child",
-// the two-process test) and ACCV_STORE_HELPER_N its entry count.
+// only does real work when re-exec'd by startWriters, which sets
+// ACCV_STORE_HELPER_DIR, this writer's key prefix ACCV_STORE_HELPER_ID,
+// and its entry count ACCV_STORE_HELPER_N.
 func TestStoreWriterHelper(t *testing.T) {
 	dir := os.Getenv("ACCV_STORE_HELPER_DIR")
 	if dir == "" {
 		t.Skip("not a helper invocation")
 	}
 	id := os.Getenv("ACCV_STORE_HELPER_ID")
-	if id == "" {
-		id = "child"
-	}
-	n := 50
-	if env := os.Getenv("ACCV_STORE_HELPER_N"); env != "" {
-		var err error
-		if n, err = strconv.Atoi(env); err != nil {
-			t.Fatalf("ACCV_STORE_HELPER_N=%q: %v", env, err)
-		}
+	n, err := strconv.Atoi(os.Getenv("ACCV_STORE_HELPER_N"))
+	if err != nil {
+		t.Fatalf("ACCV_STORE_HELPER_N: %v", err)
 	}
 	s := open(t, dir, Options{})
 	res := core.TestResult{Name: id, Outcome: core.Pass}
@@ -289,53 +312,37 @@ func TestStoreWriterHelper(t *testing.T) {
 }
 
 // TestEightProcessWriterStress scales the cross-process writer drill to
-// the sharded-sweep shape: seven re-exec'd writer processes plus this one
-// — the worker count `accval sweep -shards 8` forks — interleave Puts
-// into one directory. Every writer's every entry must be present and
-// intact, with zero corrupt entries: the flock'd atomic-rename protocol
-// must hold at full shard fan-out, not just in pairs.
+// eight writers: seven re-exec'd writer processes plus this one
+// interleave Puts into one directory, standing for accval and accvd
+// processes sharing one -store. Every writer's every entry must be
+// present and intact, with zero corrupt entries: the flock'd
+// atomic-rename protocol must hold under many concurrent writers, not
+// just in pairs.
 func TestEightProcessWriterStress(t *testing.T) {
 	if os.Getenv("ACCV_STORE_HELPER_DIR") != "" {
 		t.Skip("helper invocation")
 	}
 	const children, perWriter = 7, 40
 	dir := t.TempDir()
-	done := make(chan error, children)
+	ids := []string{"parent"}
 	for w := 0; w < children; w++ {
-		id := fmt.Sprintf("w%d", w)
-		cmd := exec.Command(os.Args[0], "-test.run", "TestStoreWriterHelper", "-test.count=1")
-		cmd.Env = append(os.Environ(),
-			"ACCV_STORE_HELPER_DIR="+dir,
-			"ACCV_STORE_HELPER_ID="+id,
-			fmt.Sprintf("ACCV_STORE_HELPER_N=%d", perWriter))
-		go func() {
-			out, err := cmd.CombinedOutput()
-			if err != nil {
-				err = fmt.Errorf("%s: %v: %s", id, err, out)
-			}
-			done <- err
-		}()
+		ids = append(ids, fmt.Sprintf("w%d", w))
 	}
+	wait := startWriters(t, dir, perWriter, ids[1:]...)
 
 	s := open(t, dir, Options{})
 	res := core.TestResult{Name: "parent", Outcome: core.Pass}
 	for i := 0; i < perWriter; i++ {
 		s.Put(fp(fmt.Sprintf("parent-%d", i)), res)
 	}
-	for w := 0; w < children; w++ {
-		if err := <-done; err != nil {
-			t.Fatalf("helper process: %v", err)
-		}
+	if err := wait(); err != nil {
+		t.Fatal(err)
 	}
 
 	merged := open(t, dir, Options{})
 	want := (children + 1) * perWriter
 	if merged.Len() != want {
 		t.Errorf("merged store holds %d entries, want %d", merged.Len(), want)
-	}
-	ids := []string{"parent"}
-	for w := 0; w < children; w++ {
-		ids = append(ids, fmt.Sprintf("w%d", w))
 	}
 	for _, id := range ids {
 		for i := 0; i < perWriter; i++ {

@@ -216,7 +216,7 @@ func Run(ctx context.Context, vendor string, opts Options) (*Result, error) {
 					cfg.Fingerprint = fps.For(c.tc)
 					cfg.Store = opts.Store
 				}
-				templates := templatesFor(opts.Family, langs[c.li])
+				templates := TemplatesFor(opts.Family, langs[c.li])
 				sr, err := core.RunSuiteContext(ctx, cfg, templates)
 				mu.Lock()
 				res.Cells[c.vi][c.li] = sr
@@ -254,17 +254,12 @@ func Run(ctx context.Context, vendor string, opts Options) (*Result, error) {
 }
 
 // TemplatesFor returns the template set one sweep cell runs — one
-// family's slice, or the whole 1.0 registry for the language. The shard
-// coordinator (internal/shard) indexes its work units into exactly this
-// order, so the selection lives here, shared, and cannot drift between
-// the in-process sweep and the sharded one.
+// family's slice, or the whole 1.0 registry for the language — in the
+// order the cell's SuiteResult lists them. It is exported so
+// internal/bench measures exactly the templates a sweep cell runs.
 func TemplatesFor(family string, lang ast.Lang) []*core.Template {
 	if family != "" {
 		return core.ByFamily(family, lang)
 	}
 	return core.ByLang(lang)
-}
-
-func templatesFor(family string, lang ast.Lang) []*core.Template {
-	return TemplatesFor(family, lang)
 }

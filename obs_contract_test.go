@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"accv"
-	"accv/internal/shard"
 )
 
 // TestTelemetryContract enforces the documentation-first telemetry
@@ -32,7 +31,11 @@ func TestTelemetryContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accv.NewSuite(accv.C).Iterations(2).Observe(o).Run(pgi)
+	suite, err := accv.NewRunner(accv.C, accv.WithIterations(2), accv.WithObs(o), accv.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite.Run(pgi)
 
 	// A memoized sweep over a small family: drives the sweep memo counters
 	// and the per-cell saved-runs gauge.
@@ -93,18 +96,6 @@ int acc_test()
 		t.Fatalf("divergent kernel: err=%v runtime=%v exit=%d", err, res.Err, res.Exit)
 	}
 
-	// A sharded sweep with two in-process workers sharing the observer:
-	// drives the coordinator's unit counters and the worker gauge.
-	ex := shard.NewExecutor(shard.ExecOptions{Obs: o})
-	if _, err := shard.Run(context.Background(), "pgi",
-		[]accv.Language{accv.C}, shard.Spec{Family: "data"},
-		shard.Options{
-			Workers: []shard.Worker{&shard.LocalWorker{Exec: ex}, &shard.LocalWorker{Exec: ex}},
-			Obs:     o,
-		}); err != nil {
-		t.Fatal(err)
-	}
-
 	// A harness screening epoch plus a degradation query.
 	h := accv.NewHarness(2, accv.DefaultStacks()[:1])
 	h.Obs = o
@@ -159,7 +150,6 @@ int acc_test()
 		"accv_store_hits_total", "accv_store_misses_total",
 		"accv_spmd_batched_nests_total", "accv_spmd_fallback_nests_total",
 		"accv_spmd_masked_stores_total",
-		"accv_shard_units_dispatched_total", "accv_shard_units_completed_total",
 	} {
 		found := false
 		for _, p := range snap.Counters {
@@ -185,19 +175,6 @@ int acc_test()
 	}
 	if !savedSomewhere {
 		t.Error("gauge accv_sweep_saved_runs never rose above zero during the sweep")
-	}
-
-	// The shard coordinator must have published its worker gauge (it ends
-	// at 0 once every dispatch loop retires — presence is the contract).
-	shardWorkersSeen := false
-	for _, p := range snap.Gauges {
-		if p.Name == "accv_shard_workers" {
-			shardWorkersSeen = true
-			break
-		}
-	}
-	if !shardWorkersSeen {
-		t.Error("gauge accv_shard_workers never published during the sharded sweep")
 	}
 
 	// Trace: valid JSON, every span name documented.

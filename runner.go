@@ -1,6 +1,6 @@
-// The context-first, option-based execution facade. Runner supersedes the
-// Suite builder: construction takes functional options, validates them
-// eagerly, and the Run/RunContext methods drive the parallel core engine.
+// The context-first, option-based execution facade. Runner is the suite
+// API: construction takes functional options, validates them eagerly,
+// and the Run/RunContext methods drive the parallel core engine.
 package accv
 
 import (

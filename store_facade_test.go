@@ -29,17 +29,20 @@ func counterValue(t *testing.T, o *accv.Observer, name string) float64 {
 	return total
 }
 
-// TestWarmStoreSweepExecutesNothing is the PR's acceptance pin: a second
-// sweep against a warm store — fresh process state, fresh memo table —
-// performs zero redundant executions, and the disk hits that replaced
-// them are accounted disjointly from the memo counters.
+// TestWarmStoreSweepExecutesNothing pins the store's warm path: a second
+// sweep against a warm store — fresh process state, fresh memo table,
+// a different worker width — performs zero redundant executions, and
+// the disk hits that replaced them are accounted disjointly from the
+// memo counters. The cold sweep runs sequentially and the warm one 16
+// wide — eight pgi cells in flight, two workers each — so worker width
+// must not be part of a store key.
 func TestWarmStoreSweepExecutesNothing(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	sweepOpts := func(st *accv.ResultStore, o *accv.Observer) []accv.Option {
+	sweepOpts := func(st *accv.ResultStore, o *accv.Observer, workers int) []accv.Option {
 		return []accv.Option{
 			accv.WithFamily("data"), accv.WithIterations(1),
-			accv.WithObs(o), accv.WithResultStore(st),
+			accv.WithObs(o), accv.WithResultStore(st), accv.WithParallelism(workers),
 		}
 	}
 
@@ -48,7 +51,7 @@ func TestWarmStoreSweepExecutesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := accv.RunSweep(ctx, "pgi", sweepOpts(st, cold)...)
+	first, err := accv.RunSweep(ctx, "pgi", sweepOpts(st, cold, 1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestWarmStoreSweepExecutesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := accv.RunSweep(ctx, "pgi", sweepOpts(st2, warmObs)...)
+	second, err := accv.RunSweep(ctx, "pgi", sweepOpts(st2, warmObs, 16)...)
 	if err != nil {
 		t.Fatal(err)
 	}

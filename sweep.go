@@ -1,5 +1,5 @@
 // The cross-version sweep facade: RunSweep drives internal/sweep, the
-// memoized engine behind accval -sweep and the Fig. 8 / Table I
+// memoized engine behind accval sweep and the Fig. 8 / Table I
 // reproductions. See docs/PERFORMANCE.md, "The cross-version sweep memo".
 package accv
 

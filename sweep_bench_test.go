@@ -39,7 +39,7 @@ type sweepBench struct {
 	HostCores  int                `json:"host_cores"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	Vendors    []sweepBenchVendor `json:"vendors"`
-	// Aggregate is the full three-vendor sweep — the accval -sweep workload
+	// Aggregate is the full three-vendor sweep — the accval sweep workload
 	// run for each vendor back to back, the unit the >=5x target applies to.
 	AggregateNaiveMS int64   `json:"aggregate_naive_ms"`
 	AggregateMemoMS  int64   `json:"aggregate_memo_ms"`
@@ -71,7 +71,7 @@ func TestWriteSweepBench(t *testing.T) {
 	iters := 3
 	rec := sweepBench{
 		Benchmark:  "memoized sweep vs naive per-version loop (TestWriteSweepBench)",
-		Workload:   fmt.Sprintf("accval -sweep -lang both equivalent: every simulated version x {C, Fortran}, iterations=%d, full 1.0 registry; durations are the min of 3 runs", iters),
+		Workload:   fmt.Sprintf("accval sweep -lang both equivalent: every simulated version x {C, Fortran}, iterations=%d, full 1.0 registry; durations are the min of 3 runs", iters),
 		HostCores:  benchhost.Cores(),
 		GOMAXPROCS: benchhost.Procs(),
 		Note: "Speedups are naive_ms/memo_ms on this host. The memo shares one execution " +
