@@ -140,8 +140,9 @@ func BenchmarkTableIBugCounts(b *testing.B) {
 }
 
 // BenchmarkSweep measures the full cross-version sweep of one vendor in
-// both languages, memoized against naive — the headline pair recorded in
-// BENCH_sweep.json (docs/PERFORMANCE.md, "The cross-version sweep memo").
+// both languages, memoized against naive (docs/PERFORMANCE.md, "The
+// cross-version sweep memo"; accbench's sweep-cold workload records the
+// end-to-end numbers).
 // The memoized run must actually share work: zero memo hits fails the
 // bench rather than silently measuring two naive sweeps.
 func BenchmarkSweep(b *testing.B) {

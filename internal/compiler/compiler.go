@@ -376,8 +376,32 @@ func (r *Reference) DeviceConfig() device.Config {
 	return device.Config{ConcreteType: device.NotHost, Backend: device.CUDA}
 }
 
-// Compile performs the reference lowering.
+// Compile performs the reference lowering: Plan, then vet, the lane-safety
+// oracle, bytecode lowering and batch lowering.
 func Compile(prog *ast.Program, opts Options) (*Executable, []Diagnostic, error) {
+	exe, diags, err := Plan(prog, opts)
+	if err != nil {
+		return nil, diags, err
+	}
+	if opts.Vet == VetOn {
+		rep := analysis.Analyze(prog, analysis.Options{})
+		exe.Findings = rep.Findings
+	}
+	// The lane-safety oracle is not gated on Vet: the VM's lane batching
+	// keys off it regardless of whether accvet findings were requested.
+	exe.LaneSafety = analysis.AnalyzeLaneSafety(prog)
+	exe.Code = bytecode.LowerProgram(prog)
+	lowerBatches(exe)
+	return exe, diags, nil
+}
+
+// Plan is the semantic-analysis stage of Compile: it checks the program
+// and builds the region descriptors and loop plans, and fails with the
+// same diagnostics and CompileError Compile would. The executable it
+// returns has no vet findings, lane-safety verdicts, bytecode or batch
+// lowering; vendor bug effects read nothing else, which is why the sweep
+// fingerprints programs from a plan.
+func Plan(prog *ast.Program, opts Options) (*Executable, []Diagnostic, error) {
 	s := &sema{
 		exe: &Executable{
 			Prog:    prog,
@@ -395,15 +419,6 @@ func Compile(prog *ast.Program, opts Options) (*Executable, []Diagnostic, error)
 			return nil, s.diags, &CompileError{Diags: s.diags}
 		}
 	}
-	if opts.Vet == VetOn {
-		rep := analysis.Analyze(prog, analysis.Options{})
-		s.exe.Findings = rep.Findings
-	}
-	// The lane-safety oracle is not gated on Vet: the VM's lane batching
-	// keys off it regardless of whether accvet findings were requested.
-	s.exe.LaneSafety = analysis.AnalyzeLaneSafety(prog)
-	s.exe.Code = bytecode.LowerProgram(prog)
-	lowerBatches(s.exe)
 	return s.exe, s.diags, nil
 }
 

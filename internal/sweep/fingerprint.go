@@ -24,8 +24,8 @@ import (
 //     vet mode, device configuration — everything except the inert
 //     name/version strings),
 //   - the set of bug-DB effects that actually fire on the template's
-//     pristine compile (vendors.FiredEffects), for both the functional and
-//     the cross variant,
+//     pristine plan (vendors.FiredEffects over Vendor.BasePlan), for both
+//     the functional and the cross variant,
 //   - a caller salt covering run-shaping config the fingerprint cannot
 //     see from the template (iterations, engine, timeouts, environment).
 //
@@ -34,8 +34,8 @@ import (
 // cell's TestResult serves both. See docs/PERFORMANCE.md.
 
 // Fingerprinter computes fingerprints, sharing one pristine (bug-free)
-// compile per (template, variant, semantics) across all versions of a
-// vendor family. It is safe for concurrent use.
+// plan per (template, variant, semantics) across all versions of a vendor
+// family. It is safe for concurrent use.
 type Fingerprinter struct {
 	salt     string
 	mu       sync.Mutex
@@ -50,8 +50,8 @@ type pristineKey struct {
 
 type pristineEntry struct {
 	once    sync.Once
-	exe     *compiler.Executable
-	errText string // parse/compile failure text ("" on success)
+	plan    *compiler.Executable // Vendor.BasePlan result (sema only)
+	errText string               // parse/sema failure text ("" on success)
 }
 
 // NewFingerprinter returns a fingerprinter whose fingerprints are salted
@@ -73,30 +73,35 @@ func ConfigSalt(cfg core.Config) string {
 
 // For returns a core.Config.Fingerprint function for one toolchain.
 //
-// Vendor toolchains get the full treatment: pristine compile + fired
-// effect replay, enabling cross-version sharing. Any other toolchain
-// (the reference compiler, harness node wrappers) falls back to an
-// identity fingerprint — toolchain name+version+device config — which
-// still deduplicates identical repeated runs (screening the same stack on
-// many nodes, repeated epochs) but never shares across versions.
+// Vendor toolchains get the full treatment: pristine plan + fired effect
+// replay, enabling cross-version sharing. Any other toolchain (the
+// reference compiler, harness node wrappers) falls back to an identity
+// fingerprint — toolchain name+version+device config — which still
+// deduplicates identical repeated runs (screening the same stack on many
+// nodes, repeated epochs) but never shares across versions.
+//
+// A vendor's semantics key is read here, once per toolchain: configure
+// the toolchain (SetVet) before calling For, as sweep.Run does.
 func (f *Fingerprinter) For(tc compiler.Toolchain) func(*core.Template) (string, bool) {
 	v, isVendor := tc.(*vendors.Vendor)
-	return func(tpl *core.Template) (string, bool) {
-		if !isVendor {
+	if !isVendor {
+		return func(tpl *core.Template) (string, bool) {
 			return digest(f.salt, "identity", tpl.ID(), tc.Name(), tc.Version(),
 				fmt.Sprintf("%+v", tc.DeviceConfig())), true
 		}
-		return f.vendorFingerprint(v, tpl)
+	}
+	sem := v.SemanticsKey()
+	return func(tpl *core.Template) (string, bool) {
+		return f.vendorFingerprint(v, sem, tpl)
 	}
 }
 
-func (f *Fingerprinter) vendorFingerprint(v *vendors.Vendor, tpl *core.Template) (string, bool) {
+func (f *Fingerprinter) vendorFingerprint(v *vendors.Vendor, sem string, tpl *core.Template) (string, bool) {
 	functional, cross, hasCross, err := tpl.GenerateCached()
 	if err != nil {
 		// Generation failure is deterministic per template; share it.
 		return digest(f.salt, "generr", tpl.ID(), err.Error()), true
 	}
-	sem := v.SemanticsKey()
 	parts := []string{f.salt, "vendor", tpl.ID(), sem,
 		"func", f.variantComponent(v, tpl, "func", functional, sem)}
 	if hasCross {
@@ -106,8 +111,11 @@ func (f *Fingerprinter) vendorFingerprint(v *vendors.Vendor, tpl *core.Template)
 }
 
 // variantComponent returns the fingerprint component for one generated
-// source: the pristine compile failure text, or the ordered list of bug
-// effects that fire on the pristine executable under this version.
+// source: the pristine parse or sema failure text, or the ordered list of
+// bug effects that fire on the pristine plan under this version. Effects
+// read only the plan's program, regions, loop plans and hooks, so the
+// vet, lane-safety and lowering stages of a full compile are never run
+// here (TestFingerprintsGolden pins the keys this produces).
 func (f *Fingerprinter) variantComponent(v *vendors.Vendor, tpl *core.Template, variant, src, sem string) string {
 	ent := f.entry(pristineKey{id: tpl.ID(), variant: variant, sem: sem})
 	ent.once.Do(func() {
@@ -116,17 +124,17 @@ func (f *Fingerprinter) variantComponent(v *vendors.Vendor, tpl *core.Template, 
 			ent.errText = err.Error()
 			return
 		}
-		exe, _, err := v.BaseCompile(prog)
+		plan, _, err := v.BasePlan(prog)
 		if err != nil {
 			ent.errText = err.Error()
 			return
 		}
-		ent.exe = exe
+		ent.plan = plan
 	})
-	if ent.exe == nil {
+	if ent.plan == nil {
 		return "err:" + ent.errText
 	}
-	return "fired:" + strings.Join(v.FiredEffects(ent.exe), ",")
+	return "fired:" + strings.Join(v.FiredEffects(ent.plan), ",")
 }
 
 func (f *Fingerprinter) entry(k pristineKey) *pristineEntry {

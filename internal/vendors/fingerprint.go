@@ -14,11 +14,22 @@ import (
 // compile it to byte-identical executables, so one execution result serves
 // both (docs/PERFORMANCE.md, "The cross-version sweep memo").
 
-// BaseCompile lowers the program with this vendor's compilation options but
-// applies none of the version's bug effects: the pristine executable every
-// release of the vendor family starts from. All versions of a family share
-// identical options (the bug database is the only thing that varies), so
-// the sweep caches one base compile per (template, lang, family).
+// BasePlan runs semantic analysis alone (compiler.Plan) under this
+// vendor's compilation options and applies none of the version's bug
+// effects: the pristine plan every release of the vendor family starts
+// from. It carries the regions, loop plans and hooks bug effects read, but
+// no vet findings, lane-safety verdicts or lowering, so it is cheap to
+// build. All versions of a family share identical options (the bug
+// database is the only thing that varies), so the sweep fingerprints every
+// release from one base plan per (template, lang, family).
+func (v *Vendor) BasePlan(prog *ast.Program) (*compiler.Executable, []compiler.Diagnostic, error) {
+	return compiler.Plan(prog, v.opts)
+}
+
+// BaseCompile is BasePlan followed by the rest of the reference lowering:
+// the runnable pristine executable. Nothing on the fingerprint path needs
+// it; it stays because the benchmark's layer replay attributes compile
+// cost with it.
 func (v *Vendor) BaseCompile(prog *ast.Program) (*compiler.Executable, []compiler.Diagnostic, error) {
 	return compiler.Compile(prog, v.opts)
 }
@@ -42,10 +53,15 @@ func (v *Vendor) SemanticsKey() string {
 // rewrites a loop plan (e.g. seq ignored) can enable a later effect that
 // matches the rewritten plan, and sequential application evaluates each
 // effect against exactly the state the real Compile would present it.
-// exe must be a pristine BaseCompile result; it is not mutated.
+// exe is either a BasePlan or a BaseCompile result — effects read only the
+// program, regions, loop plans and hooks, which the two share — and it is
+// not mutated. The scratch copy is made only once an effect is active for
+// the program's language, so a release with none allocates nothing.
 func (v *Vendor) FiredEffects(exe *compiler.Executable) []string {
-	scratch := cloneForReplay(exe)
-	var fired []string
+	var (
+		scratch *compiler.Executable
+		fired   []string
+	)
 	for _, b := range v.bugs {
 		if b.Lang != exe.Prog.Lang || !b.ActiveIn(v.version) {
 			continue
@@ -53,6 +69,9 @@ func (v *Vendor) FiredEffects(exe *compiler.Executable) []string {
 		for i, e := range b.Effects {
 			if !e.activeIn(v.version) {
 				continue
+			}
+			if scratch == nil {
+				scratch = cloneForReplay(exe)
 			}
 			if _, hit := applyEffectTracked(e, scratch, b.ID); hit {
 				fired = append(fired, b.ID+"#"+strconv.Itoa(i))

@@ -33,15 +33,15 @@ int acc_test() {
 }
 `
 
-func compileBase(t *testing.T, v *Vendor, src string) *compiler.Executable {
+func planBase(t *testing.T, v *Vendor, src string) *compiler.Executable {
 	t.Helper()
 	prog, err := cfront.Parse(src)
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
-	exe, _, err := v.BaseCompile(prog)
+	exe, _, err := v.BasePlan(prog)
 	if err != nil {
-		t.Fatalf("base compile: %v", err)
+		t.Fatalf("base plan: %v", err)
 	}
 	return exe
 }
@@ -68,10 +68,10 @@ func TestFiredEffectsDoesNotMutatePristine(t *testing.T) {
 		bug(ast.LangC, "skip-copy", "copy skip", "", "", skipData(directive.Copy, onParallel)),
 		bug(ast.LangC, "loop-red", "redundant", "", "", loopRedundant(directive.Gang)),
 	}}
-	exe := compileBase(t, v, copySrc)
+	exe := planBase(t, v, copySrc)
 	for _, r := range exe.Regions {
 		if len(r.SkipDataExplicit) != 0 {
-			t.Fatal("pristine compile already carries effects")
+			t.Fatal("pristine plan already carries effects")
 		}
 	}
 	first := v.FiredEffects(exe)
@@ -103,13 +103,34 @@ func TestFiredEffectsVersionGated(t *testing.T) {
 		Effects: []Effect{skipData(directive.Copy, onParallel)}}
 	fired := func(version string) []string {
 		v := &Vendor{name: "t", version: version, bugs: []Bug{b}}
-		return v.FiredEffects(compileBase(t, v, copySrc))
+		return v.FiredEffects(planBase(t, v, copySrc))
 	}
 	if got := fired("1.5"); len(got) != 1 {
 		t.Errorf("at 1.5 (before the fix) want 1 fired effect, got %v", got)
 	}
 	if got := fired("2.1"); len(got) != 0 {
 		t.Errorf("at 2.1 (after the fix) want no fired effects, got %v", got)
+	}
+}
+
+// TestFiredEffectsNoActiveEffect: a release with no effect active for the
+// program's language — bug fixed, bug in the other frontend, or effect
+// gated out — fires nothing, and replays without allocating, because the
+// scratch copy is made only once an effect is active.
+func TestFiredEffectsNoActiveEffect(t *testing.T) {
+	gated := skipData(directive.Copy, onParallel)
+	gated.MaxVersion = "1.9"
+	v := &Vendor{name: "t", version: "2.1", bugs: []Bug{
+		bug(ast.LangC, "fixed", "fixed in 2.0", "", "2.0", skipData(directive.Copy, onParallel)),
+		bug(ast.LangFortran, "fortran", "Fortran only", "", "", skipData(directive.Copy, onParallel)),
+		bug(ast.LangC, "gated", "effect gated to <= 1.9", "", "", gated),
+	}}
+	exe := planBase(t, v, copySrc)
+	if got := v.FiredEffects(exe); got != nil {
+		t.Errorf("FiredEffects = %v, want nil", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { v.FiredEffects(exe) }); n != 0 {
+		t.Errorf("FiredEffects allocates %v times with no active effect, want 0", n)
 	}
 }
 
@@ -128,11 +149,11 @@ func TestLoopMutationInertness(t *testing.T) {
 				bug(ast.LangC, "b", name, "", "", fx),
 			}}
 			// copySrc increments a[i] in place: schedule-observable.
-			if got := v.FiredEffects(compileBase(t, v, copySrc)); len(got) == 0 {
+			if got := v.FiredEffects(planBase(t, v, copySrc)); len(got) == 0 {
 				t.Errorf("%s on a read-modify-write nest must fire", name)
 			}
 			// storeOnlySrc only stores: the mutation is inert.
-			if got := v.FiredEffects(compileBase(t, v, storeOnlySrc)); len(got) != 0 {
+			if got := v.FiredEffects(planBase(t, v, storeOnlySrc)); len(got) != 0 {
 				t.Errorf("%s on a store-only nest must be inert, fired %v", name, got)
 			}
 		})
@@ -142,7 +163,7 @@ func TestLoopMutationInertness(t *testing.T) {
 	v := &Vendor{name: "t", version: "1", bugs: []Bug{
 		bug(ast.LangC, "b", "partial", "", "", loopPartial(directive.Gang)),
 	}}
-	if got := v.FiredEffects(compileBase(t, v, storeOnlySrc)); len(got) == 0 {
+	if got := v.FiredEffects(planBase(t, v, storeOnlySrc)); len(got) == 0 {
 		t.Error("partial-lanes must fire even on a store-only nest")
 	}
 }
@@ -172,7 +193,7 @@ int acc_test() {
 	v := &Vendor{name: "t", version: "1", bugs: []Bug{
 		bug(ast.LangC, "b", "redundant", "", "", loopRedundant(directive.Gang)),
 	}}
-	if got := v.FiredEffects(compileBase(t, v, src)); len(got) == 0 {
+	if got := v.FiredEffects(planBase(t, v, src)); len(got) == 0 {
 		t.Error("redundant execution must fire when the induction variable escapes through region data")
 	}
 }

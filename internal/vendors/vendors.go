@@ -19,19 +19,16 @@ import (
 	"accv/internal/directive"
 )
 
-// CompareVersions compares dotted numeric versions: -1, 0, or 1.
+// CompareVersions compares dotted numeric versions: -1, 0, or 1. A missing
+// or non-numeric component counts as 0, so "3.3" equals "3.3.0". Every
+// compile and fingerprint checks each bug's version window, so the two
+// strings are walked in place rather than split.
 func CompareVersions(a, b string) int {
-	as := strings.Split(a, ".")
-	bs := strings.Split(b, ".")
-	for i := 0; i < len(as) || i < len(bs); i++ {
-		av, bv := 0, 0
-		if i < len(as) {
-			av, _ = strconv.Atoi(as[i])
-		}
-		if i < len(bs) {
-			bv, _ = strconv.Atoi(bs[i])
-		}
-		if av != bv {
+	for a != "" || b != "" {
+		var as, bs string
+		as, a, _ = strings.Cut(a, ".")
+		bs, b, _ = strings.Cut(b, ".")
+		if av, bv := versionPart(as), versionPart(bs); av != bv {
 			if av < bv {
 				return -1
 			}
@@ -39,6 +36,17 @@ func CompareVersions(a, b string) int {
 		}
 	}
 	return 0
+}
+
+// versionPart parses one version component the way strconv.Atoi does,
+// reading errors as 0, without the error value Atoi allocates for an
+// empty component.
+func versionPart(s string) int {
+	if s == "" {
+		return 0
+	}
+	n, _ := strconv.Atoi(s)
+	return n
 }
 
 // Action enumerates the miscompilation effects the bug engine can apply.

@@ -70,11 +70,18 @@ func TestCompareVersions(t *testing.T) {
 		{"13.2", "12.10", 1},
 		{"8.2.0", "8.1.8", 1},
 		{"3.3", "3.3.0", 0},
+		{"3.3", "3.3.1", -1}, // a missing component counts as 0
+		{"10.0", "9.9.9", 1},
+		{"", "0", 0},
 	}
 	for _, c := range cases {
 		if got := CompareVersions(c.a, c.b); got != c.want {
 			t.Errorf("CompareVersions(%s, %s) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+	// Every compile and fingerprint runs this once per bug window bound.
+	if n := testing.AllocsPerRun(100, func() { CompareVersions("8.1.6", "8.2.0") }); n != 0 {
+		t.Errorf("CompareVersions allocates %v times per call, want 0", n)
 	}
 }
 

@@ -29,14 +29,20 @@ func counterValue(t *testing.T, o *accv.Observer, name string) float64 {
 	return total
 }
 
-// TestWarmStoreSweepExecutesNothing pins the store's warm path: a second
-// sweep against a warm store — fresh process state, fresh memo table,
-// a different worker width — performs zero redundant executions, and
-// the disk hits that replaced them are accounted disjointly from the
-// memo counters. The cold sweep runs sequentially and the warm one 16
-// wide — eight pgi cells in flight, two workers each — so worker width
-// must not be part of a store key.
+// TestWarmStoreSweepExecutesNothing pins the store's warm path for every
+// vendor: a second sweep against a warm store — fresh process state,
+// fresh memo table, a different worker width — performs zero redundant
+// executions, and the disk hits that replaced them are accounted
+// disjointly from the memo counters. The cold sweep runs sequentially and
+// the warm one 16 wide — eight cells in flight, two workers each — so
+// worker width must not be part of a store key.
 func TestWarmStoreSweepExecutesNothing(t *testing.T) {
+	for _, vendor := range []string{"caps", "pgi", "cray"} {
+		t.Run(vendor, func(t *testing.T) { warmStoreSweepExecutesNothing(t, vendor) })
+	}
+}
+
+func warmStoreSweepExecutesNothing(t *testing.T, vendor string) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	sweepOpts := func(st *accv.ResultStore, o *accv.Observer, workers int) []accv.Option {
@@ -51,7 +57,7 @@ func TestWarmStoreSweepExecutesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := accv.RunSweep(ctx, "pgi", sweepOpts(st, cold, 1)...)
+	first, err := accv.RunSweep(ctx, vendor, sweepOpts(st, cold, 1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +77,7 @@ func TestWarmStoreSweepExecutesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := accv.RunSweep(ctx, "pgi", sweepOpts(st2, warmObs, 16)...)
+	second, err := accv.RunSweep(ctx, vendor, sweepOpts(st2, warmObs, 16)...)
 	if err != nil {
 		t.Fatal(err)
 	}
