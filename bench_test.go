@@ -14,12 +14,10 @@ package accv
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
 	"accv/internal/ast"
-	"accv/internal/benchhost"
 	"accv/internal/compiler"
 	"accv/internal/core"
 	"accv/internal/device"
@@ -206,93 +204,6 @@ func BenchmarkSuiteReferenceC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tpls)), "tests")
-}
-
-// benchSuiteWorkers runs the full C suite on the reference compiler with
-// a fixed scheduler width and execution engine — the sequential/parallel
-// speedup pair recorded in BENCH_parallel.json and the tree/vm pair in
-// BENCH_interp.json.
-func benchSuiteWorkers(b *testing.B, workers int, engine interp.Engine) {
-	tc, _ := vendors.New("reference", "")
-	tpls := core.ByLang(ast.LangC)
-	b.ResetTimer()
-	benchhost.LogIfLimited(b, workers)
-	for i := 0; i < b.N; i++ {
-		res := core.RunSuite(core.Config{Toolchain: tc, Iterations: 1, Workers: workers, Engine: engine}, tpls)
-		if res.Failed() != 0 {
-			b.Fatalf("reference compiler failed %d tests", res.Failed())
-		}
-	}
-	b.ReportMetric(float64(workers), "workers")
-}
-
-// BenchmarkRunSuiteSequential is the single-worker baseline, split by
-// execution engine; vm/tree is the bytecode VM's speedup on the full
-// suite (BENCH_interp.json, docs/PERFORMANCE.md).
-func BenchmarkRunSuiteSequential(b *testing.B) {
-	b.Run("vm", func(b *testing.B) { benchSuiteWorkers(b, 1, interp.EngineVM) })
-	b.Run("tree", func(b *testing.B) { benchSuiteWorkers(b, 1, interp.EngineTree) })
-}
-
-// BenchmarkRunSuiteParallel fans the suite over GOMAXPROCS workers; the
-// ratio to the sequential bench is the scheduler's speedup.
-func BenchmarkRunSuiteParallel(b *testing.B) {
-	benchSuiteWorkers(b, runtime.GOMAXPROCS(0), interp.EngineVM)
-}
-
-// BenchmarkKernelTreeVsVM isolates the interpreter hot path on a single
-// compute-heavy kernel: compiled once, then executed under each engine on
-// a fresh platform per iteration. The vm/tree ratio here is the pure
-// statement-dispatch speedup, with no generation/parse/compile cost in
-// the loop (docs/PERFORMANCE.md).
-func BenchmarkKernelTreeVsVM(b *testing.B) {
-	src := `
-int acc_test()
-{
-    int n = 4096;
-    int i, k;
-    int errors = 0;
-    double a[4096];
-    for (i = 0; i < n; i++) a[i] = i;
-    #pragma acc parallel copy(a[0:n]) num_gangs(4)
-    {
-        #pragma acc loop gang
-        for (i = 0; i < n; i++) {
-            double s = a[i];
-            for (k = 0; k < 200; k++)
-                s = s + 0.5;
-            a[i] = s;
-        }
-    }
-    for (i = 0; i < n; i++) {
-        if (a[i] != i + 100.0) errors++;
-    }
-    return (errors == 0);
-}
-`
-	tc, _ := vendors.New("reference", "")
-	prog, err := Parse(src, C)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exe, _, err := tc.Compile(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM} {
-		b.Run(eng.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plat := device.NewPlatform(tc.DeviceConfig(), 1)
-				r := interp.Run(exe, interp.RunConfig{Platform: plat, Engine: eng})
-				if r.Err != nil || r.Exit != 1 {
-					b.Fatalf("run failed: %v exit=%d", r.Err, r.Exit)
-				}
-				if eng == interp.EngineVM && r.SpmdBatchedNests == 0 {
-					b.Fatal("vm batched zero nests on the kernel microbench")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkVendorMappingAblation compares the simulated kernel cost of a

@@ -94,6 +94,31 @@ func TestFlatFlagFormRejected(t *testing.T) {
 	}
 }
 
+// TestMatrixHonorsExecutionFlags pins that `accval matrix` runs through
+// the shared execution flags: a bad -engine is a usage error, the
+// worker-pool width leaves the table unchanged, and -metrics reports the
+// run.
+func TestMatrixHonorsExecutionFlags(t *testing.T) {
+	if _, _, status := capture(t, "matrix", "-engine", "bogus"); status != 2 {
+		t.Errorf("matrix -engine bogus: status %d, want 2", status)
+	}
+	serial, _, status := capture(t, "matrix", "-lang", "c", "-family", "data", "-j", "1")
+	if status != 0 {
+		t.Fatalf("matrix -j 1: status %d", status)
+	}
+	wide, _, status := capture(t, "matrix", "-lang", "c", "-family", "data", "-j", "4")
+	if status != 0 {
+		t.Fatalf("matrix -j 4: status %d", status)
+	}
+	if serial != wide {
+		t.Errorf("matrix stdout differs between -j 1 and -j 4:\n--- -j 1 ---\n%s\n--- -j 4 ---\n%s", serial, wide)
+	}
+	out, _, status := capture(t, "matrix", "-family", "wait", "-metrics", "-")
+	if status != 0 || !strings.Contains(out, "accv_tests_total") {
+		t.Errorf("matrix -metrics -: status %d, output lacks accv_tests_total:\n%.400s", status, out)
+	}
+}
+
 func TestHelpListsSubcommands(t *testing.T) {
 	out, _, status := capture(t, "help")
 	if status != 0 {

@@ -24,7 +24,6 @@ type cliFlags struct {
 	jobs                            int
 	timeout                         time.Duration
 	failFast                        bool
-	retries                         int
 	vet, engine                     string
 
 	// run-only (the report and the release snapshot).
@@ -51,7 +50,6 @@ func (f *cliFlags) registerCommon(fs *flag.FlagSet) {
 	fs.IntVar(&f.jobs, "j", 0, "worker-pool width for parallel test execution (0: GOMAXPROCS, 1: sequential)")
 	fs.DurationVar(&f.timeout, "timeout", 0, "per-iteration wall-clock timeout, e.g. 2s (0: engine default; each test also gets a context deadline covering all its iterations)")
 	fs.BoolVar(&f.failFast, "fail-fast", false, "cancel the remaining suite after the first failure")
-	fs.IntVar(&f.retries, "retry", 0, "re-run transiently-flaky failures up to N extra times (requires -timeout)")
 	fs.StringVar(&f.vet, "vet", "on", "accvet static-analysis policy: on (error findings fail the test), warn, or off")
 	fs.StringVar(&f.engine, "engine", "vm", "interpreter execution engine: vm (compiled bytecode, lane-batched where the oracle proves it) or tree (reference tree-walker)")
 }
@@ -124,9 +122,6 @@ func (f *cliFlags) runOptions(observer *accv.Observer) ([]accv.Option, error) {
 	}
 	if f.failFast {
 		opts = append(opts, accv.WithFailFast())
-	}
-	if f.retries > 0 {
-		opts = append(opts, accv.WithRetry(f.retries, 50*time.Millisecond))
 	}
 	vetPolicy, err := core.ParseVetPolicy(f.vet)
 	if err != nil {

@@ -74,13 +74,23 @@ func printFeatures(stdout io.Writer) {
 
 // runMatrix prints the per-feature pass/fail table against the three
 // vendor compilers — the "tabular column" §VI describes but omits for
-// space.
+// space. One Runner built from the shared flags validates every
+// compiler, so -j, -timeout, -fail-fast, -vet, -engine, -trace and
+// -metrics apply exactly as they do to `accval run`.
 func runMatrix(f *cliFlags, stdout, stderr io.Writer) int {
+	observer, err := f.observer()
+	if err != nil {
+		return fail(stderr, err)
+	}
 	langs, err := parseLangs(f.lang)
 	if err != nil {
 		return fail(stderr, err)
 	}
 	lang := langs[0]
+	runOpts, err := f.runOptions(observer)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	var compilers []accv.Compiler
 	for _, v := range accv.Vendors() {
 		ver := f.version
@@ -94,16 +104,14 @@ func runMatrix(f *cliFlags, stdout, stderr io.Writer) int {
 		}
 		compilers = append(compilers, tc)
 	}
-
-	var runnerOpts []accv.Option
-	if f.family != "" {
-		runnerOpts = append(runnerOpts, accv.WithFamily(f.family))
-	}
-	r, err := accv.NewRunner(lang, runnerOpts...)
+	r, err := accv.NewRunner(lang, runOpts...)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	tpls := r.Templates()
+	results := make([]*accv.SuiteResult, len(compilers))
+	for i, tc := range compilers {
+		results[i] = r.Run(tc)
+	}
 
 	fmt.Fprintf(stdout, "Feature × compiler matrix (%s tests)\n\n", lang)
 	fmt.Fprintf(stdout, "%-36s", "feature")
@@ -111,17 +119,19 @@ func runMatrix(f *cliFlags, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-14s", tc.Name()+" "+tc.Version())
 	}
 	fmt.Fprintln(stdout)
-	for _, tpl := range tpls {
+	for ti, tpl := range r.Templates() {
 		fmt.Fprintf(stdout, "%-36s", tpl.Name)
-		for _, tc := range compilers {
-			res := accv.RunTest(tc, tpl, f.iterations)
+		for _, res := range results {
 			cell := "pass"
-			if res.Outcome.Failed() {
-				cell = "FAIL(" + shortOutcome(res.Outcome.String()) + ")"
+			if out := res.Results[ti].Outcome; out.Failed() {
+				cell = "FAIL(" + shortOutcome(out.String()) + ")"
 			}
 			fmt.Fprintf(stdout, "  %-14s", cell)
 		}
 		fmt.Fprintln(stdout)
+	}
+	if err := f.exportObs(observer, stdout); err != nil {
+		return fail(stderr, err)
 	}
 	return 0
 }

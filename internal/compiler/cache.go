@@ -34,19 +34,21 @@ func NewCacheKey(source string, parts ...string) CacheKey {
 	return k
 }
 
-// Cache memoizes successful compilations by content hash, so a suite that
-// compiles the same generated source repeatedly — cross-run sweeps over
-// vendor versions, repeated harness screens, retries — pays for parsing,
-// semantic analysis, vet and bytecode lowering once. It is safe for
-// concurrent use by the suite's worker pool.
+// Cache memoizes successful compilations by content hash, so an owner
+// that compiles the same generated source again — the accvd daemon
+// across requests, the harness across screening epochs — pays for
+// parsing, semantic analysis, vet and bytecode lowering once. A single
+// run compiles each source once, so runners and sweeps use a cache only
+// when their caller passes one. It is safe for concurrent use by the
+// suite's worker pool.
 //
 // Executables are immutable after compilation, but toolchain wrappers own
 // the value-typed Hooks field; Get therefore returns a shallow copy so a
 // caller adjusting hooks on its copy can never corrupt the cached entry.
 //
-// The cache is LRU-bounded so long-lived owners — a sweep's shared cache
-// across every (version × lang) cell, a harness screening for days — hold
-// memory proportional to the cap, not to history. The default cap
+// The cache is LRU-bounded so long-lived owners — a daemon serving for
+// weeks, a harness screening for days — hold memory proportional to the
+// cap, not to history. The default cap
 // (DefaultCacheCap) is deliberately generous: the full 1.0 registry in
 // both languages across all simulated versions of one vendor compiles to
 // well under half of it, so steady-state workloads never evict.

@@ -179,7 +179,6 @@ func skippedResult(cfg Config, tpl *Template) TestResult {
 		Description: tpl.Description,
 		Outcome:     Canceled,
 		Detail:      "suite canceled before the test started",
-		Attempts:    0,
 	}
 	if cfg.Obs != nil {
 		cfg.Obs.Add("accv_tests_total", 1,

@@ -51,10 +51,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative timeout", Config{Toolchain: ref, Timeout: -time.Second}, "Timeout"},
 		{"negative workers", Config{Toolchain: ref, Workers: -2}, "Workers"},
 		{"negative devices", Config{Toolchain: ref, Devices: -1}, "Devices"},
-		{"negative retry attempts", Config{Toolchain: ref, Timeout: time.Second, Retry: RetryPolicy{Attempts: -1}}, "Retry.Attempts"},
-		{"negative retry backoff", Config{Toolchain: ref, Timeout: time.Second, Retry: RetryPolicy{Attempts: 1, Backoff: -1}}, "Retry.Backoff"},
-		{"retries without timeout", Config{Toolchain: ref, Retry: RetryPolicy{Attempts: 2}}, "Timeout"},
-		{"retries with timeout", Config{Toolchain: ref, Timeout: time.Second, Retry: RetryPolicy{Attempts: 2}}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -215,65 +211,6 @@ func TestFailFast(t *testing.T) {
 	}
 	if res.Failed() != 3 {
 		t.Errorf("Failed() = %d, want 3 (one verdict + two canceled)", res.Failed())
-	}
-}
-
-// flakyCompiler fails its first failuresLeft Compile calls, then behaves
-// like the wrapped toolchain — a deterministic stand-in for a transient
-// environment fault.
-type flakyCompiler struct {
-	compiler.Toolchain
-	failuresLeft atomic.Int32
-}
-
-func (f *flakyCompiler) Compile(prog *ast.Program) (*compiler.Executable, []compiler.Diagnostic, error) {
-	if f.failuresLeft.Add(-1) >= 0 {
-		return nil, nil, errors.New("transient: license server unreachable")
-	}
-	return f.Toolchain.Compile(prog)
-}
-
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	flaky := &flakyCompiler{Toolchain: compiler.NewReference()}
-	flaky.failuresLeft.Store(1)
-	o := obs.NewObserver()
-	cfg := Config{
-		Toolchain:  flaky,
-		Iterations: 1,
-		Timeout:    2 * time.Second,
-		Obs:        o,
-		Retry: RetryPolicy{
-			Attempts: 2,
-			Classify: func(r *TestResult) bool { return r.Outcome == FailCompile },
-		},
-	}
-	res := RunTest(cfg, passTemplate("retry1"))
-	if res.Outcome != Pass {
-		t.Fatalf("outcome %s (%s), want pass after retry", res.Outcome, res.Detail)
-	}
-	if res.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", res.Attempts)
-	}
-	if got := o.Metrics.Counter("accv_suite_retries_total", obs.L("family", "engfam")).Value(); got != 1 {
-		t.Errorf("accv_suite_retries_total = %d, want 1", got)
-	}
-}
-
-// The default classifier never retries deterministic verdicts: a test
-// that fails every iteration is a miscompilation, not flakiness.
-func TestRetrySkipsDeterministicFailure(t *testing.T) {
-	cfg := Config{
-		Toolchain:  compiler.NewReference(),
-		Iterations: 2,
-		Timeout:    2 * time.Second,
-		Retry:      RetryPolicy{Attempts: 3},
-	}
-	res := RunTest(cfg, failTemplate("retry2"))
-	if res.Outcome != FailWrongResult {
-		t.Fatalf("outcome %s, want wrong result", res.Outcome)
-	}
-	if res.Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1 (deterministic failures must not retry)", res.Attempts)
 	}
 }
 

@@ -89,7 +89,7 @@ const (
 	memoStoreHit        // served from the persistent result store (disk)
 )
 
-// runMemoized wraps runTestAttempts with the memo table and its optional
+// runMemoized wraps runTest with the memo table and its optional
 // persistent backing store. A leader first consults cfg.Store — a disk
 // hit publishes into the in-memory table (so later claimants are memo
 // hits) without counting as a memo hit or miss itself — then executes on
@@ -98,11 +98,11 @@ const (
 // re-runs the test instead of inheriting the cancellation.
 func runMemoized(ctx context.Context, cfg Config, tpl *Template, parent *obs.Span, worker int) (TestResult, int) {
 	if cfg.Memo == nil || cfg.Fingerprint == nil {
-		return runTestAttempts(ctx, cfg, tpl, parent, worker), memoOff
+		return runTest(ctx, cfg, tpl, parent, worker), memoOff
 	}
 	fp, ok := cfg.Fingerprint(tpl)
 	if !ok {
-		return runTestAttempts(ctx, cfg, tpl, parent, worker), memoOff
+		return runTest(ctx, cfg, tpl, parent, worker), memoOff
 	}
 	t := cfg.Memo
 	for {
@@ -122,7 +122,7 @@ func runMemoized(ctx context.Context, cfg Config, tpl *Template, parent *obs.Spa
 					return res, memoStoreHit
 				}
 			}
-			res := runTestAttempts(ctx, cfg, tpl, parent, worker)
+			res := runTest(ctx, cfg, tpl, parent, worker)
 			if res.Outcome != Canceled {
 				e.res = cloneResult(res)
 				e.ok = true

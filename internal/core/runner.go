@@ -99,32 +99,6 @@ func (o Outcome) MetricLabel() string {
 	return "unknown"
 }
 
-// RetryPolicy re-runs tests the §III cross-test statistics classify as
-// transiently flaky, with exponential backoff between attempts. The
-// zero value disables retries.
-type RetryPolicy struct {
-	// Attempts is the maximum number of re-runs after the first failed
-	// attempt (0 = never retry).
-	Attempts int
-	// Backoff is the wait before the first retry; it doubles per attempt.
-	// Zero retries immediately.
-	Backoff time.Duration
-	// Classify decides whether a failed result is worth retrying. Nil
-	// uses TransientlyFlaky (intermittent functional failures, the §III
-	// signature of a racy or environment-dependent defect rather than a
-	// deterministic miscompilation). Canceled results are never retried.
-	Classify func(*TestResult) bool
-}
-
-// TransientlyFlaky is the default RetryPolicy classifier: the functional
-// variant failed on some but not all of its M iterations. A deterministic
-// miscompilation fails every iteration; an intermittent failure is the
-// §III statistical signature of scheduling- or environment-dependent
-// behaviour, which a retry can legitimately re-sample.
-func TransientlyFlaky(r *TestResult) bool {
-	return r.FuncRuns > 0 && r.FuncFails > 0 && r.FuncFails < r.FuncRuns
-}
-
 // VetPolicy decides what a run does with the accvet static-analysis
 // findings the compiler attaches to functional variants
 // (docs/ANALYSIS.md).
@@ -201,13 +175,13 @@ type Config struct {
 	// reference tree-walker everywhere (docs/PERFORMANCE.md).
 	Engine interp.Engine
 	// Cache, when non-nil, memoizes successful compilations by content
-	// hash (source + toolchain identity + vet + language), so repeated
-	// compilations of identical generated sources — sweeps, screens,
-	// retries — are served from memory. Hits and misses are surfaced as
-	// accv_compile_cache_{hits,misses}_total when Obs is set.
+	// hash (source + toolchain identity + vet + language), so an owner
+	// that compiles identical generated sources again — the accvd daemon
+	// across requests, the harness across screening epochs — is served
+	// from memory. Nil, the default, compiles every source. Hits and
+	// misses are surfaced as accv_compile_cache_{hits,misses}_total when
+	// Obs is set.
 	Cache *compiler.Cache
-	// Retry re-runs transiently flaky tests; see RetryPolicy.
-	Retry RetryPolicy
 	// Verbose streams per-test progress through Progress. Callbacks run
 	// concurrently from the worker goroutines; the callee synchronizes.
 	Progress func(res TestResult)
@@ -271,10 +245,7 @@ func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate rejects nonsensical settings. Historically withDefaults
 // silently coerced them to defaults; the engine now refuses to run them.
-// Zero fields are not errors — they select the documented defaults —
-// with one exception: enabling retries without an explicit Timeout is
-// rejected, because retrying hung tests without a stated deadline turns
-// one flaky hang into an unbounded retry storm.
+// Zero fields are not errors — they select the documented defaults.
 func (c Config) Validate() error {
 	if c.Toolchain == nil {
 		return fmt.Errorf("config: Toolchain must be set")
@@ -293,15 +264,6 @@ func (c Config) Validate() error {
 	}
 	if c.Devices < 0 {
 		return fmt.Errorf("config: negative Devices (%d)", c.Devices)
-	}
-	if c.Retry.Attempts < 0 {
-		return fmt.Errorf("config: negative Retry.Attempts (%d)", c.Retry.Attempts)
-	}
-	if c.Retry.Backoff < 0 {
-		return fmt.Errorf("config: negative Retry.Backoff (%s)", c.Retry.Backoff)
-	}
-	if c.Retry.Attempts > 0 && c.Timeout == 0 {
-		return fmt.Errorf("config: retries enabled (Attempts=%d) without a per-test Timeout; set one so retried hangs stay bounded", c.Retry.Attempts)
 	}
 	return nil
 }
@@ -332,11 +294,8 @@ type TestResult struct {
 
 	FuncRuns  int
 	FuncFails int
-	// Attempts counts executions of this test including retries (≥1; 1
-	// when the retry policy never fired).
-	Attempts int
-	Cert     Certainty // §III statistics from the cross runs
-	HasCross bool
+	Cert      Certainty // §III statistics from the cross runs
+	HasCross  bool
 	// Inconclusive: the cross variant never failed, i.e. the directive
 	// under test showed no observable effect; the paper flags these for
 	// test redesign.
@@ -454,10 +413,10 @@ func langLabel(l ast.Lang) string {
 
 // RunTest executes one template: the functional variant M times, then —
 // only if it passed, per the Fig. 3 flow — the cross variant M times for
-// the certainty statistics. It honors the config's retry policy. Invalid
-// configs panic; use RunTestContext for an error return.
+// the certainty statistics. Invalid configs panic; use RunTestContext for
+// an error return.
 func RunTest(cfg Config, tpl *Template) TestResult {
-	return runTestAttempts(context.Background(), cfg.validated(), tpl, nil, -1)
+	return runTest(context.Background(), cfg.validated(), tpl, nil, -1)
 }
 
 // RunTestContext is RunTest under a caller context: cancellation aborts
@@ -467,57 +426,17 @@ func RunTestContext(ctx context.Context, cfg Config, tpl *Template) (TestResult,
 	if err := cfg.Validate(); err != nil {
 		return TestResult{}, err
 	}
-	return runTestAttempts(ctx, cfg.withDefaults(), tpl, nil, -1), nil
+	return runTest(ctx, cfg.withDefaults(), tpl, nil, -1), nil
 }
 
-// runTestAttempts runs one test through the retry policy: the first
-// attempt always runs; failed attempts the policy classifies as
-// transiently flaky re-run with exponential backoff, up to
-// Retry.Attempts re-runs. The last attempt's result is returned with
-// Attempts recording the execution count. Canceled results and canceled
-// contexts stop retrying immediately.
-func runTestAttempts(ctx context.Context, cfg Config, tpl *Template, parent *obs.Span, worker int) TestResult {
-	res := runTest(ctx, cfg, tpl, parent, worker)
-	res.Attempts = 1
-	classify := cfg.Retry.Classify
-	if classify == nil {
-		classify = TransientlyFlaky
-	}
-	backoff := cfg.Retry.Backoff
-	for retry := 0; retry < cfg.Retry.Attempts; retry++ {
-		if !res.Outcome.Failed() || res.Outcome == Canceled || !classify(&res) {
-			break
-		}
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return res
-			case <-t.C:
-			}
-			backoff *= 2
-		} else if ctx.Err() != nil {
-			return res
-		}
-		if cfg.Obs != nil {
-			cfg.Obs.Add("accv_suite_retries_total", 1, obs.L("family", tpl.Family))
-		}
-		next := runTest(ctx, cfg, tpl, parent, worker)
-		next.Attempts = res.Attempts + 1
-		res = next
-	}
-	return res
-}
-
-// testBudget is the per-test context deadline: every phase of one attempt
+// testBudget is the per-test context deadline: every phase of one test
 // (generate, parse, compile, M functional + M cross runs) must fit in it,
 // so a hung phase can stall its worker for at most this long.
 func testBudget(cfg Config) time.Duration {
 	return cfg.Timeout * time.Duration(2*cfg.Iterations+1)
 }
 
-// runTest executes one test attempt. parent is the suite.run span when
+// runTest executes one test. parent is the suite.run span when
 // called through RunSuite; worker is the pool worker id for span
 // attribution, -1 outside the pool. The config must already be validated
 // and defaulted. Every observability hook below sits behind a cfg.Obs nil

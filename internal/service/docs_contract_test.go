@@ -57,7 +57,7 @@ func TestServiceTelemetryContract(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/compile",
 		CompileRequest{Source: "int acc_test() { return 1; }"}, nil)
 	postJSON(t, ts.URL+"/v1/run", RunRequest{Source: figure1Source}, nil)
-	postJSON(t, ts.URL+"/v1/vet", VetRequest{Source: benchVetSource}, nil)
+	postJSON(t, ts.URL+"/v1/vet", VetRequest{Source: vetHazardSource}, nil)
 	postJSON(t, ts.URL+"/v1/suite",
 		SuiteRequest{Family: "wait", Iterations: 1}, nil)
 	postJSON(t, ts.URL+"/v1/sweep",

@@ -46,7 +46,6 @@ func randomResult(rng *rand.Rand, i int) core.TestResult {
 		Outcome:  outcomes[rng.Intn(len(outcomes))],
 		Detail:   fmt.Sprintf("detail %d", rng.Intn(1000)),
 		FuncRuns: 1 + rng.Intn(5),
-		Attempts: 1,
 		HasCross: rng.Intn(2) == 0,
 		Duration: time.Duration(rng.Intn(1000)) * time.Millisecond,
 	}

@@ -65,10 +65,14 @@ func NewFingerprinter(salt string) *Fingerprinter {
 // ConfigSalt digests the run-shaping fields of a core.Config into a
 // fingerprint salt. The toolchain is deliberately not included — the
 // fingerprint captures toolchain behavior itself.
+//
+// The trailing ";retry=0/0s" is a fixed literal kept from a removed
+// setting: every existing store key was computed with those bytes, so
+// dropping them would turn every store cold (testdata/fingerprints.golden
+// pins the keys).
 func ConfigSalt(cfg core.Config) string {
-	return fmt.Sprintf("iters=%d;maxops=%d;timeout=%s;devices=%d;vet=%d;engine=%d;retry=%d/%s",
-		cfg.Iterations, cfg.MaxOps, cfg.Timeout, cfg.Devices, cfg.Vet, cfg.Engine,
-		cfg.Retry.Attempts, cfg.Retry.Backoff)
+	return fmt.Sprintf("iters=%d;maxops=%d;timeout=%s;devices=%d;vet=%d;engine=%d;retry=0/0s",
+		cfg.Iterations, cfg.MaxOps, cfg.Timeout, cfg.Devices, cfg.Vet, cfg.Engine)
 }
 
 // For returns a core.Config.Fingerprint function for one toolchain.

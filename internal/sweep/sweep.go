@@ -36,15 +36,14 @@ type Options struct {
 	// split across concurrent cells, and within a cell it becomes the
 	// core scheduler's Workers. Default GOMAXPROCS.
 	Parallelism int
-	// Iterations, Timeout, Vet, Engine, Retry, FailFast mirror core.Config
-	// and apply to every cell identically (a sweep varies the version,
+	// Iterations, Timeout, Vet, Engine, FailFast mirror core.Config and
+	// apply to every cell identically (a sweep varies the version,
 	// nothing else). FailFast is per cell: a failure cancels that cell's
 	// remaining tests, not the other cells.
 	Iterations int
 	Timeout    time.Duration
 	Vet        core.VetPolicy
 	Engine     interp.Engine
-	Retry      core.RetryPolicy
 	FailFast   bool
 	// Obs receives the per-cell suite telemetry plus the sweep counters
 	// accv_sweep_memo_{hits,misses}_total and the per-version
@@ -53,11 +52,11 @@ type Options struct {
 	// NoMemo disables fingerprint memoization: every cell runs naively.
 	// This is the differential-testing baseline; it is never faster.
 	NoMemo bool
-	// Cache, when non-nil, is used as the sweep's compiled-program cache
-	// instead of a fresh per-run one. A long-lived owner (the accvd
-	// service) shares one cache across every request, so repeat sweeps
-	// start compile-warm. Version and language are in the key, so sharing
-	// is always sound.
+	// Cache, when non-nil, is the sweep's compiled-program cache; nil
+	// compiles every source. Within one sweep the memo already runs each
+	// distinct fingerprint once, so only a long-lived owner that sweeps
+	// again (the accvd service, across requests) gains from one. Version
+	// and language are in the key, so sharing is always sound.
 	Cache *compiler.Cache
 	// Memo, when non-nil (and NoMemo is false), is used as the sweep's
 	// result memo instead of a fresh per-run table. Fingerprints are
@@ -159,18 +158,14 @@ func Run(ctx context.Context, vendor string, opts Options) (*Result, error) {
 		Workers:    inner,
 		Vet:        opts.Vet,
 		Engine:     opts.Engine,
-		Retry:      opts.Retry,
 		FailFast:   opts.FailFast,
 		Obs:        opts.Obs,
+		Cache:      opts.Cache,
 	}
 	var (
-		memo  *core.MemoTable
-		fps   *Fingerprinter
-		cache = opts.Cache
+		memo *core.MemoTable
+		fps  *Fingerprinter
 	)
-	if cache == nil {
-		cache = compiler.NewCache() // version is in the key: no cross-cell collisions
-	}
 	if !opts.NoMemo {
 		memo = opts.Memo
 		if memo == nil {
@@ -210,7 +205,6 @@ func Run(ctx context.Context, vendor string, opts Options) (*Result, error) {
 			for c := range jobs {
 				cfg := baseCfg
 				cfg.Toolchain = c.tc
-				cfg.Cache = cache
 				if memo != nil {
 					cfg.Memo = memo
 					cfg.Fingerprint = fps.For(c.tc)

@@ -10,6 +10,7 @@ package accv
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -149,16 +150,13 @@ func TestEngineDifferentialCoversTheVM(t *testing.T) {
 }
 
 // TestCompileCacheHitsOnRepeatedRuns drives the acceptance criterion for
-// the compiled-program cache: re-running a suite on the same Runner — the
-// shape of a repeated vendor sweep — must be served from the cache, visible
-// through accv_compile_cache_hits_total.
+// the compiled-program cache in the shape the accvd daemon uses it: a
+// Runner handed one shared cache (WithCompileCache) and re-run must be
+// served from it, visible through accv_compile_cache_hits_total. A Runner
+// or RunSweep built without the option caches nothing and records no
+// cache traffic at all.
 func TestCompileCacheHitsOnRepeatedRuns(t *testing.T) {
-	o := NewObserver()
-	r, err := NewRunner(C, WithFamily("data"), WithIterations(1), WithObs(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := func(name string) float64 {
+	counter := func(o *Observer, name string) float64 {
 		var buf bytes.Buffer
 		if err := o.WriteMetricsJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -176,28 +174,49 @@ func TestCompileCacheHitsOnRepeatedRuns(t *testing.T) {
 		return total
 	}
 
-	r.Run(Reference())
-	if hits := counter("accv_compile_cache_hits_total"); hits != 0 {
-		t.Errorf("first sweep reported %v cache hits, want 0 (nothing cached yet)", hits)
+	bare := NewObserver()
+	plain, err := NewRunner(C, WithFamily("data"), WithIterations(1), WithObs(bare))
+	if err != nil {
+		t.Fatal(err)
 	}
-	missesAfterFirst := counter("accv_compile_cache_misses_total")
+	plain.Run(Reference())
+	if _, err := RunSweep(context.Background(), "pgi", WithFamily("data"), WithIterations(1), WithObs(bare)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"accv_compile_cache_hits_total", "accv_compile_cache_misses_total"} {
+		if n := counter(bare, name); n != 0 {
+			t.Errorf("Runner and RunSweep without WithCompileCache recorded %s = %v, want 0", name, n)
+		}
+	}
+
+	o := NewObserver()
+	r, err := NewRunner(C, WithFamily("data"), WithIterations(1), WithObs(o),
+		WithCompileCache(NewCompileCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run(Reference())
+	if hits := counter(o, "accv_compile_cache_hits_total"); hits != 0 {
+		t.Errorf("first run reported %v cache hits, want 0 (nothing cached yet)", hits)
+	}
+	missesAfterFirst := counter(o, "accv_compile_cache_misses_total")
 	if missesAfterFirst == 0 {
-		t.Fatal("first sweep reported no cache misses; is the Runner cache wired up?")
+		t.Fatal("first run reported no cache misses; is WithCompileCache wired up?")
 	}
 
 	r.Run(Reference())
-	hits := counter("accv_compile_cache_hits_total")
-	newMisses := counter("accv_compile_cache_misses_total") - missesAfterFirst
+	hits := counter(o, "accv_compile_cache_hits_total")
+	newMisses := counter(o, "accv_compile_cache_misses_total") - missesAfterFirst
 	if hits == 0 {
-		t.Error("second sweep never hit the cache")
+		t.Error("second run never hit the cache")
 	}
 	// Failed compilations are never cached (there is no Executable to
 	// store), so each re-misses; everything else must be served from the
-	// cache. Together the two cover the first sweep exactly.
+	// cache. Together the two cover the first run exactly.
 	if hits+newMisses != missesAfterFirst {
-		t.Errorf("second sweep: %v hits + %v new misses != %v first-sweep compilations", hits, newMisses, missesAfterFirst)
+		t.Errorf("second run: %v hits + %v new misses != %v first-run compilations", hits, newMisses, missesAfterFirst)
 	}
 	if newMisses >= hits {
-		t.Errorf("second sweep re-missed %v compilations vs %v hits; cache is not doing its job", newMisses, hits)
+		t.Errorf("second run re-missed %v compilations vs %v hits; cache is not doing its job", newMisses, hits)
 	}
 }

@@ -164,12 +164,6 @@ func TestRunnerRejectsNonsense(t *testing.T) {
 	if _, err := accv.NewRunner(accv.C, accv.WithParallelism(-4)); err == nil {
 		t.Error("negative parallelism accepted")
 	}
-	if _, err := accv.NewRunner(accv.C, accv.WithRetry(2, time.Millisecond)); err == nil {
-		t.Error("retries without an explicit timeout accepted")
-	}
-	if _, err := accv.NewRunner(accv.C, accv.WithRetry(2, time.Millisecond), accv.WithTimeout(time.Second)); err != nil {
-		t.Errorf("valid retry config rejected: %v", err)
-	}
 }
 
 // TestRunnerFailFast: the facade's fail-fast option cancels the tail of

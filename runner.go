@@ -35,7 +35,6 @@ type options struct {
 	iterations  int
 	parallelism int
 	failFast    bool
-	retry       core.RetryPolicy
 	family      string
 	templates   []*Template
 	vet         core.VetPolicy
@@ -107,17 +106,6 @@ func WithParallelism(workers int) Option { return func(o *options) { o.paralleli
 // reported as canceled, not failed.
 func WithFailFast() Option { return func(o *options) { o.failFast = true } }
 
-// WithRetry re-runs a failed test up to attempts extra times, doubling
-// backoff between tries, when the §III statistics classify the failure as
-// transiently flaky (some functional iterations passed and some failed).
-// Deterministic verdicts — compile errors, every-iteration failures —
-// are never retried. Requires an explicit WithTimeout.
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(o *options) {
-		o.retry = core.RetryPolicy{Attempts: attempts, Backoff: backoff, Classify: core.TransientlyFlaky}
-	}
-}
-
 // WithVet selects the static-analysis policy for suite runs. The accvet
 // analyzers (docs/ANALYSIS.md) check every functional source for
 // data-movement and loop hazards; under the default VetEnforce policy an
@@ -170,9 +158,9 @@ func WithProgress(fn func(TestResult)) Option {
 
 // CompileCache is the LRU-bounded compiled-program cache (keyed by
 // source + toolchain identity + vet + language; docs/PERFORMANCE.md).
-// Every Runner owns one implicitly; WithCompileCache substitutes a
-// caller-owned cache so many Runners — or many service requests — share
-// one compilation universe.
+// A Runner or RunSweep compiles without one unless WithCompileCache
+// hands it a caller-owned cache, which many Runners — or many service
+// requests — then share.
 type CompileCache = compiler.Cache
 
 // NewCompileCache returns an empty compile cache with the default
@@ -184,10 +172,11 @@ func NewCompileCache() *CompileCache { return compiler.NewCache() }
 // default.
 func NewCompileCacheWithCap(capacity int) *CompileCache { return compiler.NewCacheWithCap(capacity) }
 
-// WithCompileCache makes the Runner (or RunSweep) use the given shared
-// cache instead of a private one. Sharing is always sound — toolchain
-// identity, vet mode, and language are in the key — and is how the accvd
-// service keeps one cross-request cache warm (docs/SERVICE.md).
+// WithCompileCache makes the Runner (or RunSweep) serve compilations
+// from the given shared cache. Without it nothing is cached. Sharing is
+// always sound — toolchain identity, vet mode, and language are in the
+// key — and is how the accvd service keeps one cross-request cache warm
+// (docs/SERVICE.md).
 func WithCompileCache(c *CompileCache) Option { return func(o *options) { o.cache = c } }
 
 // MemoTable is the single-flight cross-version sweep memo
@@ -210,19 +199,11 @@ type Runner struct {
 	lang      Language
 	opts      options
 	templates []*Template
-	// cache memoizes compilations across this Runner's runs: sweeping
-	// several versions of a vendor, or re-running a suite, recompiles the
-	// same generated sources, and the cache serves those from memory
-	// (keyed by source + toolchain identity + vet + language, so distinct
-	// toolchains never collide). The cache locks internally; it does not
-	// compromise the Runner's concurrent-use guarantee.
-	cache *compiler.Cache
 }
 
 // NewRunner builds a runner over the registered OpenACC 1.0 templates for
-// lang, narrowed and tuned by the options. Nonsensical settings —
-// negative parallelism, retries without an explicit timeout — are
-// rejected here, not at run time.
+// lang, narrowed and tuned by the options. Nonsensical settings, such as
+// negative parallelism, are rejected here, not at run time.
 func NewRunner(lang Language, opts ...Option) (*Runner, error) {
 	return newRunner(lang, core.ByLang(lang), opts)
 }
@@ -243,11 +224,7 @@ func newRunner(lang Language, all []*Template, opts []Option) (*Runner, error) {
 			tpls = all
 		}
 	}
-	cache := o.cache
-	if cache == nil {
-		cache = compiler.NewCache()
-	}
-	r := &Runner{lang: lang, opts: o, templates: tpls, cache: cache}
+	r := &Runner{lang: lang, opts: o, templates: tpls}
 	// Validate the numeric surface now; the stand-in toolchain only
 	// satisfies the non-nil check, the caller's compiler arrives at Run.
 	if err := r.config(compiler.NewReference()).Validate(); err != nil {
@@ -267,10 +244,9 @@ func (r *Runner) config(tc Compiler) core.Config {
 		Devices:    r.opts.devices,
 		FailFast:   r.opts.failFast,
 		Vet:        r.opts.vet,
-		Retry:      r.opts.retry,
 		Obs:        r.opts.obs,
 		Engine:     r.opts.engine,
-		Cache:      r.cache,
+		Cache:      r.opts.cache,
 		Progress:   r.opts.progress,
 	}
 }

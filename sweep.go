@@ -21,7 +21,7 @@ type SweepResult = sweep.Result
 //
 // The options share the Runner vocabulary — WithLangs, WithFamily,
 // WithIterations, WithParallelism (the total worker budget across cells),
-// WithTimeout, WithVet, WithEngine, WithRetry, WithObs — plus
+// WithTimeout, WithVet, WithEngine, WithObs, WithCompileCache — plus
 // WithoutSweepMemo for the naive baseline. Canceling ctx returns the
 // partial result with interrupted tests marked Canceled, together with
 // ctx's error.
@@ -35,7 +35,6 @@ func RunSweep(ctx context.Context, vendor string, opts ...Option) (*SweepResult,
 		Timeout:     o.timeout,
 		Vet:         o.vet,
 		Engine:      o.engine,
-		Retry:       o.retry,
 		FailFast:    o.failFast,
 		Obs:         o.obs,
 		NoMemo:      o.noMemo,
