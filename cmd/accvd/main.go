@@ -1,12 +1,14 @@
 // Command accvd is the long-running validation daemon: an HTTP+JSON
 // service over the accv facade serving compile, run, vet, suite (blocking
-// and streaming), and sweep requests to many concurrent clients, all
-// sharing one compiled-program cache and sweep memo table.
+// and streaming), and sweep requests to many concurrent clients. Run,
+// suite and sweep requests share one compiled-program cache, and sweeps
+// one sweep memo table.
 //
 // Usage:
 //
 //	accvd [-addr :8080] [-cache-cap N] [-client-inflight N]
-//	      [-max-inflight-ops N] [-j N] [-drain-timeout 30s] [-no-memo]
+//	      [-max-inflight-ops N] [-j N] [-drain-timeout 30s]
+//	      [-store DIR] [-store-cap N]
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: new work requests
 // are refused with 503 while in-flight requests finish (bounded by

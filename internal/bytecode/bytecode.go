@@ -43,30 +43,26 @@ type Op uint8
 // The instruction set. R[x] denotes a register, slot x a frame slot
 // (scope-resolved variable), Consts/Decls/Stmts/Exprs the per-proc pools.
 const (
-	OpNop        Op = iota
-	OpTick          // charge one interpreted operation
-	OpConst         // R[A] = Consts[B]
-	OpLoadVar       // R[A] = value of slot B (array decay, scalar load, runtime constant)
-	OpStoreVar      // slot A = R[B]
-	OpAugVar        // slot A = slot A <D> R[B]   (fused compound assignment)
-	OpLoadIdx       // R[A] = slot B [ R[C] .. R[C+D-1] ]
-	OpStoreIdx      // slot A [ R[B] .. R[B+C-1] ] = R[D]
-	OpAugIdx        // slot A [ R[B] .. R[B+C-1] ] <E>= R[D]
-	OpDeref         // R[A] = *R[B]
-	OpStoreDeref    // *R[A] = R[B]
-	OpAugDeref      // *R[A] <D>= R[B]
-	OpBin           // R[A] = R[B] <D> R[C]
-	OpUn            // R[A] = <D> R[B]
-	OpBool          // R[A] = Bool(Truth(R[A]))  (short-circuit normalization)
-	OpJump          // pc = A
-	OpJumpFalse     // if !Truth(R[A]) pc = B
-	OpJumpTrue      // if Truth(R[A]) pc = B
-	OpDecl          // execute Decls[B], install the binding into slot A
-	OpEscape        // tree-walk Stmts[B] (may return)
-	OpEvalExpr      // R[A] = tree-eval Exprs[B]
-	OpRet           // return R[A]
-	OpRet0          // return Int(0)  (bare return statement)
-	OpEnd           // fall off the end of the proc
+	OpNop       Op = iota
+	OpTick         // charge one interpreted operation
+	OpConst        // R[A] = Consts[B]
+	OpLoadVar      // R[A] = value of slot B (array decay, scalar load, runtime constant)
+	OpStoreVar     // slot A = R[B]
+	OpAugVar       // slot A = slot A <D> R[B]   (fused compound assignment)
+	OpLoadIdx      // R[A] = slot B [ R[C] .. R[C+D-1] ]
+	OpStoreIdx     // slot A [ R[B] .. R[B+C-1] ] = R[D]
+	OpAugIdx       // slot A [ R[B] .. R[B+C-1] ] <E>= R[D]
+	OpBin          // R[A] = R[B] <D> R[C]
+	OpUn           // R[A] = <D> R[B]
+	OpBool         // R[A] = Bool(Truth(R[A]))  (short-circuit normalization)
+	OpJump         // pc = A
+	OpJumpFalse    // if !Truth(R[A]) pc = B
+	OpJumpTrue     // if Truth(R[A]) pc = B
+	OpDecl         // execute Decls[B], install the binding into slot A
+	OpEscape       // tree-walk Stmts[B] (may return)
+	OpEvalExpr     // R[A] = tree-eval Exprs[B]
+	OpRet          // return R[A]
+	OpEnd          // fall off the end of the proc
 )
 
 // Ins is one instruction. Operand meaning is per-opcode; D usually carries

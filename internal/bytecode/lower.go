@@ -271,13 +271,13 @@ func (lw *lowerer) stmt(st ast.Stmt) {
 		lw.emit(Ins{Op: OpJump, A: int32(cond)})
 		lw.patch(jf, lw.here())
 	case *ast.ReturnStmt:
-		lw.tick()
-		if x.X != nil {
-			lw.expr(x.X, 0)
-			lw.emit(Ins{Op: OpRet, A: 0})
-		} else {
-			lw.emit(Ins{Op: OpRet0})
+		if x.X == nil {
+			lw.escape(st) // a bare return: the tree-walker returns Int(0)
+			return
 		}
+		lw.tick()
+		lw.expr(x.X, 0)
+		lw.emit(Ins{Op: OpRet, A: 0})
 	default:
 		// Pragmas, Fortran do loops (their own scope for the induction
 		// variable), and anything unrecognized: the tree-walker runs it,
@@ -365,24 +365,9 @@ func (lw *lowerer) assign(lhs ast.Expr, op string, rhs ast.Expr, at ast.Stmt) {
 		} else {
 			lw.emit(Ins{Op: OpAugIdx, A: s, B: 1, C: n, D: 0, E: int32(kind), Line: line(at)})
 		}
-	case *ast.UnaryExpr:
-		uk := x.Kind
-		if uk == ast.OpInvalid {
-			uk = ast.UnOpKind(x.Op)
-		}
-		if uk != ast.OpDeref {
-			lw.escape(at)
-			return
-		}
-		lw.tick()
-		lw.lowerRHS(rhs, 0)
-		lw.expr(x.X, 1)
-		if op == "=" {
-			lw.emit(Ins{Op: OpStoreDeref, A: 1, B: 0, Line: line(at)})
-		} else {
-			lw.emit(Ins{Op: OpAugDeref, A: 1, B: 0, D: int32(kind), Line: line(at)})
-		}
 	default:
+		// Pointer-dereference stores and anything else: the tree-walker
+		// charges the statement's op and performs the store.
 		lw.escape(at)
 	}
 }
@@ -465,12 +450,9 @@ func (lw *lowerer) expr(e ast.Expr, dst int32) {
 		case ast.OpNeg, ast.OpNot, ast.OpBitNot:
 			lw.expr(x.X, dst)
 			lw.emit(Ins{Op: OpUn, A: dst, B: dst, D: int32(k), Line: line(x)})
-		case ast.OpDeref:
-			lw.expr(x.X, dst)
-			lw.emit(Ins{Op: OpDeref, A: dst, B: dst, Line: line(x)})
 		default:
-			// Address-of needs the lvalue machinery; unknown operators keep
-			// the tree-walker's diagnostics.
+			// Dereference and address-of go through the tree evaluator's
+			// pointer machinery; unknown operators keep its diagnostics.
 			lw.evalExpr(e, dst)
 		}
 	default:

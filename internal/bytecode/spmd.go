@@ -5,11 +5,12 @@
 //
 // The value model is uniform/varying. A value is uniform when every lane
 // provably computes the same thing: literals, loads of lane-shared scalars,
-// and operators over uniform operands. Everything else — induction
+// and binary operators over uniform operands. Everything else — induction
 // variables, body-declared locals, array element loads — is varying: a flat
-// lane-indexed slice. Control flow over varying conditions folds into an
-// execution mask (both arms of a divergent if execute, with masked stores);
-// control flow over uniform conditions compiles to plain jumps.
+// lane-indexed slice. The only control flow is the counted C `for` whose
+// condition and post are uniform: every lane runs the same trip count, so
+// the loop compiles to plain jumps executed once per batch step. There is
+// no execution mask; every instruction runs for every lane of the batch.
 //
 // The lowerer is deliberately partial. Every construct it cannot prove it
 // reproduces with per-lane-sequential semantics declines the whole nest
@@ -18,14 +19,16 @@
 // bearing decline rules:
 //
 //   - Stores to lane-shared scalars batch only when every lane would store
-//     the same value in the same order: uniform RHS, uniform control flow
-//     (no enclosing divergence), and — for read-modify-writes and reads —
-//     only after a dominating plain store in the body re-initialized the
-//     scalar, so no lane observes state carried from another lane's run.
+//     the same value in the same order: uniform RHS, and — for
+//     read-modify-writes and reads — only after a dominating plain store in
+//     the body re-initialized the scalar, so no lane observes state carried
+//     from another lane's run.
 //   - Reduction variables accept only accumulation shapes (`s op= e`,
 //     `s = s op e`, `s++`); any other access declines.
-//   - Calls, casts, sizeof, pointer dereference/address-of, array or
-//     pointer declarations, nested directives, and returns decline.
+//   - `if`, `while`, Fortran `do`, a `for` whose condition or post varies,
+//     `&&`, `||`, unary operators, compound assignments to lane locals,
+//     calls, casts, sizeof, array or pointer declarations, nested
+//     directives, and returns decline as "unsupported-construct".
 package bytecode
 
 import (
@@ -41,40 +44,21 @@ import (
 // rather than once per lane.
 const (
 	BNop        Op = iota
-	BTick          // charge one interpreted operation per active lane
+	BTick          // charge one interpreted operation per lane
 	BConst         // R[A] = Consts[B]  (uniform)
 	BLoadU         // R[A] = load of outer O[B]: scalar value, array decay, or runtime constant (once)
 	BStoreU        // outer scalar O[A] = R[B]  (once; R[B] uniform)
 	BAugU          // outer scalar O[A] = O[A] <D> R[B]  (once; R[B] uniform)
 	BLoadL         // R[A] = L[B]  (varying copy)
-	BStoreL        // L[A] = convert(R[B]) per active lane
-	BAugL          // L[A] = L[A] <D> R[B] per active lane
-	BDecl          // L[A] = zero of kind C, or convert(R[B]) when B >= 0, per active lane
-	BLoadIdx       // R[A] = O[B][ R[C] .. R[C+D-1] ] per active lane
-	BStoreIdx      // O[A][ R[B] .. R[B+C-1] ] = R[D] per active lane
-	BAugIdx        // O[A][ R[B] .. R[B+C-1] ] <E>= R[D] per active lane
-	BBin           // R[A] = R[B] <D> R[C] per active lane (uniform when both operands are)
-	BUn            // R[A] = <D> R[B]
-	BBool          // R[A] = Bool(Truth(R[A]))
-	BAndMerge      // R[A] = Truth(R[B]) ? Bool(Truth(R[C])) : 0 per active lane
-	BOrMerge       // R[A] = Truth(R[B]) ? 1 : Bool(Truth(R[C])) per active lane
+	BStoreL        // L[A] = convert(R[B]) per lane
+	BDecl          // L[A] = zero of kind C, or convert(R[B]) when B >= 0, per lane
+	BLoadIdx       // R[A] = O[B][ R[C] .. R[C+D-1] ] per lane
+	BStoreIdx      // O[A][ R[B] .. R[B+C-1] ] = R[D] per lane
+	BAugIdx        // O[A][ R[B] .. R[B+C-1] ] <E>= R[D] per lane
+	BBin           // R[A] = R[B] <D> R[C] per lane (uniform when both operands are)
 	BJump          // pc = A
-	BJumpEmpty     // if the mask is empty, pc = A
 	BJumpUFalse    // if !Truth(R[A]) pc = B  (R[A] uniform)
-	BMaskPush      // push an if-frame; active = active lanes where Truth(R[A])
-	BMaskInv       // push a frame; active = active lanes where !Truth(R[A]) (short-circuit RHS)
-	BMaskElse      // active = the pushed frame's complement lanes
-	BMaskPop       // pop the top mask frame
-	BMaskLoop      // push a loop frame (active unchanged)
-	BMaskNarrow    // active = active lanes where Truth(R[A])
 	BRed           // reduction A: acc[worker(lane)] = acc <D> R[B], ascending lane order
-	BDoInit        // L[A]=cnt, L[A+1]=limit, L[A+2]=step from R[B..B+2]; error on zero step
-	BDoCond        // narrow mask to lanes whose do-counter triple L[A..A+2] continues
-	BDoIv          // L[A] = Int(counter L[B]) per active lane
-	BDoNext        // counter L[A] += step L[A+2] per active lane
-	BDoUZero       // if R[A+2] (uniform step) is zero, error
-	BDoUCond       // if uniform do triple R[A..A+2] is done, pc = B
-	BDoUNext       // R[A] += R[A+2]  (uniform)
 	BEndBatch      // fall off the end of the batch body
 )
 
@@ -117,11 +101,9 @@ type batchLowerer struct {
 	// plain store, after which reads and RMWs are lane-repeatable.
 	writtenOuter map[string]bool
 	initedOuter  map[string]bool
-	// maskDepth counts enclosing divergent (varying-condition) constructs;
-	// condDepth additionally counts uniform conditionals and loop bodies,
-	// under which a store no longer dominates the body's exit.
-	maskDepth int
-	condDepth int
+	// loopDepth counts enclosing loop bodies, under which a store no longer
+	// dominates the body's exit.
+	loopDepth int
 	reason    string // first decline reason; non-empty fails the lowering
 }
 
@@ -190,15 +172,6 @@ func (lw *batchLowerer) emit(i Ins) int {
 }
 
 func (lw *batchLowerer) here() int { return len(lw.p.Code) }
-
-func (lw *batchLowerer) patch(at, target int) {
-	switch lw.p.Code[at].Op {
-	case BJump, BJumpEmpty:
-		lw.p.Code[at].A = int32(target)
-	case BJumpUFalse, BDoUCond:
-		lw.p.Code[at].B = int32(target)
-	}
-}
 
 func (lw *batchLowerer) constant(v mem.Value) int32 {
 	if i, ok := lw.consts[v]; ok {
@@ -313,62 +286,18 @@ func (lw *batchLowerer) stmt(st ast.Stmt) {
 	case *ast.ExprStmt:
 		lw.tick()
 		lw.expr(x.X, 0)
-	case *ast.IfStmt:
-		lw.ifStmt(x)
 	case *ast.ForStmt:
 		lw.forStmt(x)
-	case *ast.WhileStmt:
-		lw.whileStmt(x)
-	case *ast.DoStmt:
-		lw.doStmt(x)
 	default:
-		// Pragmas, returns, and anything new: per-lane semantics the batch
-		// model does not reproduce.
+		// if, while, do, pragmas, returns, and anything new: per-lane
+		// control flow the maskless batch model does not reproduce.
 		lw.fail("unsupported-construct")
 	}
 }
 
-func (lw *batchLowerer) ifStmt(x *ast.IfStmt) {
-	lw.tick()
-	sh, ok := lw.shapeOf(x.Cond)
-	if !ok {
-		return
-	}
-	if _, ok := lw.expr(x.Cond, 0); !ok {
-		return
-	}
-	if sh == uniform {
-		// Convergent branch: every lane takes the same arm.
-		jf := lw.emit(Ins{Op: BJumpUFalse, A: 0})
-		lw.condDepth++
-		lw.stmt(x.Then)
-		if x.Else != nil {
-			j := lw.emit(Ins{Op: BJump})
-			lw.patch(jf, lw.here())
-			lw.stmt(x.Else)
-			lw.patch(j, lw.here())
-		} else {
-			lw.patch(jf, lw.here())
-		}
-		lw.condDepth--
-		return
-	}
-	// Divergent branch: run both arms under complementary masks.
-	lw.maskDepth++
-	lw.condDepth++
-	lw.emit(Ins{Op: BMaskPush, A: 0})
-	jt := lw.emit(Ins{Op: BJumpEmpty})
-	lw.stmt(x.Then)
-	lw.patch(jt, lw.here())
-	lw.emit(Ins{Op: BMaskElse})
-	je := lw.emit(Ins{Op: BJumpEmpty})
-	lw.stmt(x.Else)
-	lw.patch(je, lw.here())
-	lw.emit(Ins{Op: BMaskPop})
-	lw.maskDepth--
-	lw.condDepth--
-}
-
+// forStmt lowers a lockstep-convergent loop: with a uniform condition and
+// post, every lane's own run has the same trip count, so control executes
+// once per batch step and the body per lane. Any other loop declines.
 func (lw *batchLowerer) forStmt(x *ast.ForStmt) {
 	lw.tick()
 	lw.pushScope() // the tree-walker gives the loop its own scope
@@ -377,172 +306,41 @@ func (lw *batchLowerer) forStmt(x *ast.ForStmt) {
 	if lw.reason != "" {
 		return
 	}
-	condShape := uniform
 	if x.Cond != nil {
 		sh, ok := lw.shapeOf(x.Cond)
 		if !ok {
 			return
 		}
-		condShape = sh
+		if sh == varying {
+			lw.fail("unsupported-construct")
+			return
+		}
 	}
-	postVarying := x.Post != nil && lw.stmtVaries(x.Post)
-	if condShape == uniform && !postVarying {
-		// Lockstep-convergent loop: control executes once per batch step,
-		// the body per lane; every lane's own run has the same trip count.
-		top := lw.here()
-		jf := -1
-		if x.Cond != nil {
-			if _, ok := lw.expr(x.Cond, 0); !ok {
-				return
-			}
-			jf = lw.emit(Ins{Op: BJumpUFalse, A: 0})
-		}
-		lw.condDepth++
-		lw.stmt(x.Body)
-		lw.stmt(x.Post)
-		lw.condDepth--
-		lw.emit(Ins{Op: BJump, A: int32(top)})
-		if jf >= 0 {
-			lw.patch(jf, lw.here())
-		}
+	if x.Post != nil && lw.stmtVaries(x.Post) {
+		lw.fail("unsupported-construct")
 		return
 	}
-	if x.Cond == nil {
-		lw.fail("unsupported-construct") // divergent unconditional loop
-		return
-	}
-	// Divergent loop: lanes exit independently; the mask narrows
-	// monotonically until empty.
-	lw.maskDepth++
-	lw.condDepth++
-	lw.emit(Ins{Op: BMaskLoop})
 	top := lw.here()
-	if _, ok := lw.expr(x.Cond, 0); !ok {
-		lw.maskDepth--
-		lw.condDepth--
-		return
-	}
-	lw.emit(Ins{Op: BMaskNarrow, A: 0})
-	jend := lw.emit(Ins{Op: BJumpEmpty})
-	lw.stmt(x.Body)
-	lw.stmt(x.Post)
-	lw.emit(Ins{Op: BJump, A: int32(top)})
-	lw.patch(jend, lw.here())
-	lw.emit(Ins{Op: BMaskPop})
-	lw.maskDepth--
-	lw.condDepth--
-}
-
-func (lw *batchLowerer) whileStmt(x *ast.WhileStmt) {
-	lw.tick()
-	sh, ok := lw.shapeOf(x.Cond)
-	if !ok {
-		return
-	}
-	if sh == uniform {
-		top := lw.here()
+	jf := -1
+	if x.Cond != nil {
 		if _, ok := lw.expr(x.Cond, 0); !ok {
 			return
 		}
-		jf := lw.emit(Ins{Op: BJumpUFalse, A: 0})
-		lw.condDepth++
-		lw.stmt(x.Body)
-		lw.condDepth--
-		lw.emit(Ins{Op: BJump, A: int32(top)})
-		lw.patch(jf, lw.here())
-		return
+		jf = lw.emit(Ins{Op: BJumpUFalse, A: 0})
 	}
-	lw.maskDepth++
-	lw.condDepth++
-	lw.emit(Ins{Op: BMaskLoop})
-	top := lw.here()
-	if _, ok := lw.expr(x.Cond, 0); !ok {
-		lw.maskDepth--
-		lw.condDepth--
-		return
-	}
-	lw.emit(Ins{Op: BMaskNarrow, A: 0})
-	jend := lw.emit(Ins{Op: BJumpEmpty})
+	lw.loopDepth++
 	lw.stmt(x.Body)
+	lw.stmt(x.Post)
+	lw.loopDepth--
 	lw.emit(Ins{Op: BJump, A: int32(top)})
-	lw.patch(jend, lw.here())
-	lw.emit(Ins{Op: BMaskPop})
-	lw.maskDepth--
-	lw.condDepth--
+	if jf >= 0 {
+		lw.p.Code[jf].B = int32(lw.here())
+	}
 }
 
-func (lw *batchLowerer) doStmt(x *ast.DoStmt) {
-	lw.tick()
-	shFrom, ok := lw.shapeOf(x.From)
-	if !ok {
-		return
-	}
-	shTo, ok := lw.shapeOf(x.To)
-	if !ok {
-		return
-	}
-	shStep := uniform
-	if x.Step != nil {
-		if shStep, ok = lw.shapeOf(x.Step); !ok {
-			return
-		}
-	}
-	// Bounds evaluate once, before the loop, in the enclosing scope.
-	if _, ok := lw.expr(x.From, 0); !ok {
-		return
-	}
-	if _, ok := lw.expr(x.To, 1); !ok {
-		return
-	}
-	if x.Step != nil {
-		if _, ok := lw.expr(x.Step, 2); !ok {
-			return
-		}
-	} else {
-		lw.reserve(3)
-		lw.emit(Ins{Op: BConst, A: 2, B: lw.constant(mem.Int(1))})
-	}
-	lw.pushScope()
-	defer lw.popScope()
-	iv := lw.newSlot(x.Var, mem.KInt)
-	if shFrom.join(shTo).join(shStep) == uniform {
-		lw.emit(Ins{Op: BDoUZero, A: 0, Line: line(x)})
-		lw.condDepth++
-		top := lw.here()
-		jend := lw.emit(Ins{Op: BDoUCond, A: 0})
-		lw.emit(Ins{Op: BStoreL, A: iv, B: 0, Line: line(x)})
-		lw.stmt(x.Body)
-		lw.emit(Ins{Op: BDoUNext, A: 0})
-		lw.emit(Ins{Op: BJump, A: int32(top)})
-		lw.patch(jend, lw.here())
-		lw.condDepth--
-		return
-	}
-	// Per-lane trip counts: the counter triple lives in hidden lane slots
-	// and the mask narrows as lanes finish.
-	cnt := lw.newSlot("(do-counter)", mem.KInt)
-	lw.newSlot("(do-limit)", mem.KInt)
-	lw.newSlot("(do-step)", mem.KInt)
-	lw.maskDepth++
-	lw.condDepth++
-	lw.emit(Ins{Op: BDoInit, A: cnt, B: 0, Line: line(x)})
-	lw.emit(Ins{Op: BMaskLoop})
-	top := lw.here()
-	lw.emit(Ins{Op: BDoCond, A: cnt})
-	jend := lw.emit(Ins{Op: BJumpEmpty})
-	lw.emit(Ins{Op: BDoIv, A: iv, B: cnt, Line: line(x)})
-	lw.stmt(x.Body)
-	lw.emit(Ins{Op: BDoNext, A: cnt})
-	lw.emit(Ins{Op: BJump, A: int32(top)})
-	lw.patch(jend, lw.here())
-	lw.emit(Ins{Op: BMaskPop})
-	lw.maskDepth--
-	lw.condDepth--
-}
-
-// stmtVaries reports whether a loop post-statement writes varying state
-// (which forces the divergent-loop strategy even under a uniform
-// condition; in practice posts over shared counters stay uniform).
+// stmtVaries reports whether a loop post-statement writes varying state,
+// which gives lanes different trip counts even under a uniform condition
+// (in practice posts over shared counters stay uniform).
 func (lw *batchLowerer) stmtVaries(st ast.Stmt) bool {
 	var target ast.Expr
 	var rhs ast.Expr
@@ -589,15 +387,15 @@ func (lw *batchLowerer) assign(lhs ast.Expr, op string, rhs ast.Expr, at ast.Stm
 			return
 		}
 		if slot, lane := lw.laneSlot(x.Name); lane {
+			if op != "=" {
+				lw.fail("unsupported-construct")
+				return
+			}
 			lw.tick()
 			if _, ok := lw.lowerRHS(rhs, 0); !ok {
 				return
 			}
-			if op == "=" {
-				lw.emit(Ins{Op: BStoreL, A: slot, B: 0, Line: line(at)})
-			} else {
-				lw.emit(Ins{Op: BAugL, A: slot, B: 0, D: int32(kind), Line: line(at)})
-			}
+			lw.emit(Ins{Op: BStoreL, A: slot, B: 0, Line: line(at)})
 			return
 		}
 		lw.sharedAssign(x.Name, op, kind, rhs, at)
@@ -640,10 +438,6 @@ func (lw *batchLowerer) assign(lhs ast.Expr, op string, rhs ast.Expr, at ast.Stm
 // once per batch step, which is per-lane-equivalent only under the rules
 // in the package comment; anything else declines.
 func (lw *batchLowerer) sharedAssign(name, op string, kind ast.OpKind, rhs ast.Expr, at ast.Stmt) {
-	if lw.maskDepth > 0 {
-		lw.fail("shared-scalar-store")
-		return
-	}
 	if op != "=" && !lw.initedOuter[name] {
 		lw.fail("shared-scalar-carried") // RMW over state from a previous lane
 		return
@@ -659,7 +453,7 @@ func (lw *batchLowerer) sharedAssign(name, op string, kind ast.OpKind, rhs ast.E
 	}
 	s := lw.outerSlot(name)
 	if op == "=" {
-		if lw.condDepth == 0 {
+		if lw.loopDepth == 0 {
 			lw.initedOuter[name] = true // dominating re-initialization
 		}
 		lw.emit(Ins{Op: BStoreU, A: s, B: 0, Line: line(at)})
@@ -679,9 +473,8 @@ func (lw *batchLowerer) redTarget(name string) (int32, bool) {
 }
 
 // redAssign lowers an accumulation into a reduction variable: `s op= e`,
-// `s = s op e`, or `s++`/`s--`. The per-worker accumulator folds active
-// lanes in ascending order, exactly as the goroutine path's sequential
-// lanes do.
+// `s = s op e`, or `s++`/`s--`. The per-worker accumulator folds lanes in
+// ascending order, exactly as the goroutine path's sequential lanes do.
 func (lw *batchLowerer) redAssign(ri int32, op string, kind ast.OpKind, rhs ast.Expr, at ast.Stmt) {
 	name := lw.p.RedNames[ri]
 	if op == "=" {
@@ -781,16 +574,6 @@ func (lw *batchLowerer) shapeOf(e ast.Expr) (shape, bool) {
 			return uniform, false
 		}
 		return a.join(b), true
-	case *ast.UnaryExpr:
-		k := x.Kind
-		if k == ast.OpInvalid {
-			k = ast.UnOpKind(x.Op)
-		}
-		if k != ast.OpNeg && k != ast.OpNot && k != ast.OpBitNot {
-			lw.fail("unsupported-construct")
-			return uniform, false
-		}
-		return lw.shapeOf(x.X)
 	default:
 		lw.fail("unsupported-construct")
 		return uniform, false
@@ -855,83 +638,25 @@ func (lw *batchLowerer) expr(e ast.Expr, dst int32) (shape, bool) {
 		if k == ast.OpInvalid {
 			k = ast.BinOpKind(x.Op)
 		}
-		switch k {
-		case ast.OpInvalid:
-			lw.fail("unsupported-construct")
-			return uniform, false
-		case ast.OpLAnd, ast.OpLOr:
-			return lw.shortCircuit(k, x, dst)
-		default:
-			a, ok := lw.expr(x.X, dst)
-			if !ok {
-				return uniform, false
-			}
-			b, ok := lw.expr(x.Y, dst+1)
-			if !ok {
-				return uniform, false
-			}
-			lw.emit(Ins{Op: BBin, A: dst, B: dst, C: dst + 1, D: int32(k), Line: line(x)})
-			return a.join(b), true
-		}
-	case *ast.UnaryExpr:
-		k := x.Kind
-		if k == ast.OpInvalid {
-			k = ast.UnOpKind(x.Op)
-		}
-		switch k {
-		case ast.OpNeg, ast.OpNot, ast.OpBitNot:
-			sh, ok := lw.expr(x.X, dst)
-			if !ok {
-				return uniform, false
-			}
-			lw.emit(Ins{Op: BUn, A: dst, B: dst, D: int32(k), Line: line(x)})
-			return sh, true
-		default:
+		if k == ast.OpInvalid || k == ast.OpLAnd || k == ast.OpLOr {
+			// Short-circuit operators skip the RHS per lane.
 			lw.fail("unsupported-construct")
 			return uniform, false
 		}
+		a, ok := lw.expr(x.X, dst)
+		if !ok {
+			return uniform, false
+		}
+		b, ok := lw.expr(x.Y, dst+1)
+		if !ok {
+			return uniform, false
+		}
+		lw.emit(Ins{Op: BBin, A: dst, B: dst, C: dst + 1, D: int32(k), Line: line(x)})
+		return a.join(b), true
 	default:
-		// Calls, casts, sizeof: side effects and diagnostics belong to the
-		// tree-walker.
+		// Unary operators, calls, casts, sizeof: side effects and
+		// diagnostics belong to the tree-walker.
 		lw.fail("unsupported-construct")
 		return uniform, false
 	}
-}
-
-// shortCircuit lowers && and ||. Uniform conditions use plain jumps (the
-// bytecode VM's shape); varying ones evaluate the RHS under a narrowed
-// mask so lanes that short-circuit never evaluate it — divide-by-zero and
-// bounds errors fire for exactly the lanes that would reach them.
-func (lw *batchLowerer) shortCircuit(k ast.OpKind, x *ast.BinaryExpr, dst int32) (shape, bool) {
-	a, ok := lw.shapeOf(x.X)
-	if !ok {
-		return uniform, false
-	}
-	b, ok := lw.shapeOf(x.Y)
-	if !ok {
-		return uniform, false
-	}
-	// One lowering serves both shapes: a uniform condition narrows the mask
-	// all-or-nothing, so the RHS still evaluates exactly when it should.
-	lw.reserve(dst + 3)
-	if _, ok := lw.expr(x.X, dst+1); !ok {
-		return uniform, false
-	}
-	push := BMaskPush
-	if k == ast.OpLOr {
-		push = BMaskInv
-	}
-	lw.emit(Ins{Op: push, A: dst + 1})
-	j := lw.emit(Ins{Op: BJumpEmpty})
-	if _, ok := lw.expr(x.Y, dst+2); !ok {
-		return uniform, false
-	}
-	lw.patch(j, lw.here())
-	lw.emit(Ins{Op: BMaskPop})
-	merge := BAndMerge
-	if k == ast.OpLOr {
-		merge = BOrMerge
-	}
-	lw.emit(Ins{Op: merge, A: dst, B: dst + 1, C: dst + 2, Line: line(x)})
-	return a.join(b), true
 }

@@ -699,9 +699,6 @@ func AddBatchTelemetry(o *obs.Observer, r interp.Result) {
 	if r.SpmdBatchedNests > 0 {
 		o.Add("accv_spmd_batched_nests_total", r.SpmdBatchedNests)
 	}
-	if r.SpmdMaskedStores > 0 {
-		o.Add("accv_spmd_masked_stores_total", r.SpmdMaskedStores)
-	}
 	for reason, n := range r.SpmdFallbacks {
 		o.Add("accv_spmd_fallback_nests_total", n, obs.L("reason", reason))
 	}

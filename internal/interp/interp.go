@@ -34,8 +34,8 @@ const (
 	// internal/bytecode register VM, tree-walking only what the lowerer
 	// escaped or declined. Loop nests the LaneSafety oracle proves
 	// independent run a gang's lanes in lockstep batches over lane-indexed
-	// storage, with an execution mask for divergent control flow; every
-	// other nest runs goroutine-per-worker (docs/PERFORMANCE.md).
+	// storage when their bodies hold no divergent control flow; every other
+	// nest runs goroutine-per-worker (docs/PERFORMANCE.md).
 	EngineVM Engine = iota
 	// EngineTree walks the AST for everything — the reference semantics the
 	// VM is differentially tested against.
@@ -128,9 +128,6 @@ type Result struct {
 	// lane-batched dispatch loop (one count per gang per region entry);
 	// zero under EngineTree and RaceCheck.
 	SpmdBatchedNests int64
-	// SpmdMaskedStores counts store instructions a lane batch executed
-	// under a partial mask (divergent control flow).
-	SpmdMaskedStores int64
 	// SpmdFallbacks counts nest executions that fell back to the
 	// goroutine-per-lane path, keyed by decline reason; nil when none.
 	SpmdFallbacks map[string]int64
@@ -262,7 +259,6 @@ func Run(exe *compiler.Executable, cfg RunConfig) Result {
 		res.Races = in.rc.races()
 	}
 	res.SpmdBatchedNests = in.spmdBatched.Load()
-	res.SpmdMaskedStores = in.spmdMasked.Load()
 	in.spmdMu.Lock()
 	if len(in.spmdFallbacks) > 0 {
 		res.SpmdFallbacks = make(map[string]int64, len(in.spmdFallbacks))
@@ -306,7 +302,6 @@ type Interp struct {
 	// The lane-batching counters feed the accv_spmd_* telemetry series
 	// through Result.
 	spmdBatched   atomic.Int64
-	spmdMasked    atomic.Int64
 	spmdMu        sync.Mutex
 	spmdFallbacks map[string]int64
 

@@ -4,15 +4,16 @@ package interp
 // batch. A nest the compiler batch-lowered (Executable.Batch) and the
 // runtime gates admit executes this gang's lanes in one dispatch loop over
 // lane-indexed storage instead of goroutine-per-lane: uniform values
-// compute once per batch step, varying values live in flat per-lane
-// slices, and divergent control flow narrows an execution mask instead of
-// branching per lane (docs/PERFORMANCE.md, "Lane batching in the VM").
+// compute once per batch step and varying values live in flat per-lane
+// slices. A batched body has no divergent control flow — the lowerer
+// declines it — so every instruction runs for every lane of the batch
+// (docs/PERFORMANCE.md, "Lane batching in the VM").
 //
 // Parity contract with the goroutine path: identical memory effects,
 // identical runtime-error messages (raised for the lowest failing lane),
 // identical reduction partials (per-worker accumulators folded in
 // ascending lane order), and identical per-worker op accounting — the
-// batch charges each statement once per active lane into the same
+// batch charges each statement once per lane into the same
 // worker-attributed counters, flushing the shared budget in the same
 // 64-op chunks. The in-kernel yield scheduler is skipped: batched nests
 // are proven lane-independent, so interleaving is unobservable.
@@ -34,15 +35,6 @@ import (
 // previous one finishes is per-lane-equivalent because batched nests are
 // proven lane-independent and shared-scalar stores are lane-repeatable.
 const batchChunk = 64
-
-// laneIota is the full-chunk execution mask. Mask instructions build new
-// slices instead of writing the active set, so it is shared read-only.
-var laneIota = func() (a [batchChunk]int32) {
-	for l := range a {
-		a[l] = int32(l)
-	}
-	return a
-}()
 
 // batchPool recycles batch executors, with their register files, lane
 // slots and resolution caches, across nests, gangs and runs.
@@ -93,19 +85,10 @@ func (r *bval) at(l int32) mem.Value {
 	return r.v[l]
 }
 
-// maskFrame saves the mask across one divergent construct.
-type maskFrame struct {
-	saved []int32
-	els   []int32 // complement lanes, for BMaskElse
-}
-
 type batchExec struct {
 	c  *execCtx
 	bp *bytecode.BatchProc
 	nl int32 // lanes in the current chunk
-
-	active []int32
-	frames []maskFrame
 
 	// regs and slots hold the current chunk's lanes; each varying
 	// register's v and each slot has room for batchChunk lanes.
@@ -118,11 +101,10 @@ type batchExec struct {
 	targs []*VarInfo
 
 	// workerOf attributes each lane's op charges; nil when W == 1.
-	workerOf     []int32
-	workerBuf    [batchChunk]int32
-	opsW, pendW  []int64
-	redAcc       [][]mem.Value
-	maskedStores int64
+	workerOf    []int32
+	workerBuf   [batchChunk]int32
+	opsW, pendW []int64
+	redAcc      [][]mem.Value
 }
 
 // resized returns s with length n and every element zero, reusing its
@@ -145,7 +127,6 @@ func (b *batchExec) scrub() {
 		r.uni, r.u = false, mem.Value{}
 	}
 	clear(b.slotBuf)
-	b.frames = b.frames[:0]
 }
 
 // release scrubs the executor and returns it to the pool.
@@ -154,7 +135,6 @@ func (b *batchExec) release() {
 	clear(b.loads)
 	clear(b.targs)
 	b.c, b.bp, b.redAcc = nil, nil, nil
-	b.maskedStores = 0
 	batchPool.Put(b)
 }
 
@@ -208,7 +188,6 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 		nl := min(batchChunk, (total-t0+G-1)/G) // lane l is iteration t0+l*G
 		b.scrub()
 		b.nl = int32(nl)
-		b.active = laneIota[:nl]
 		for s := range b.slots {
 			b.slots[s] = b.slotBuf[s*batchChunk : s*batchChunk+int(nl)]
 		}
@@ -241,15 +220,14 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 		partials[w] = b.redAcc[w]
 	}
 	k.ops += maxOps
-	c.in.spmdMasked.Add(b.maskedStores)
 	return nil
 }
 
-// tick charges one op per active lane to its worker, flushing the shared
-// budget counter in the same 64-op chunks the per-lane path produces.
+// tick charges one op per lane to its worker, flushing the shared budget
+// counter in the same 64-op chunks the per-lane path produces.
 func (b *batchExec) tick() {
 	if b.workerOf == nil {
-		n := int64(len(b.active))
+		n := int64(b.nl)
 		b.opsW[0] += n
 		p := b.pendW[0] + n
 		if p >= 64 {
@@ -259,8 +237,7 @@ func (b *batchExec) tick() {
 		}
 		b.pendW[0] = p
 	} else {
-		for _, l := range b.active {
-			w := b.workerOf[l]
+		for _, w := range b.workerOf[:b.nl] {
 			b.opsW[w]++
 			b.pendW[w]++
 			if b.pendW[w] >= 64 {
@@ -402,8 +379,6 @@ func (b *batchExec) laneOff(v *VarInfo, pbuf *mem.Buffer, poff int, idxBase, idx
 	return v.Buf, flat - v.Bias, nil
 }
 
-func truth(v mem.Value) bool { return v.Truth() }
-
 // run is the batch dispatch loop.
 func (b *batchExec) run() error {
 	code := b.bp.Code
@@ -503,58 +478,34 @@ func (b *batchExec) run() error {
 			}
 
 		case bytecode.BLoadL:
-			src := b.slots[ins.B]
-			dst := b.vreg(ins.A)
-			if int32(len(b.active)) == b.nl {
-				copy(dst, src)
-			} else {
-				for _, l := range b.active {
-					dst[l] = src[l]
-				}
-			}
+			copy(b.vreg(ins.A), b.slots[ins.B])
 
 		case bytecode.BStoreL:
-			b.noteStore()
 			kind := b.bp.SlotKinds[ins.A]
 			dst := b.slots[ins.A]
 			src := b.regs[ins.B]
 			if src.uni {
 				cv := convSlot(kind, src.u)
-				for _, l := range b.active {
+				for l := range b.nl {
 					dst[l] = cv
 				}
 			} else {
-				for _, l := range b.active {
+				for l := range b.nl {
 					dst[l] = convSlot(kind, src.v[l])
 				}
 			}
 
-		case bytecode.BAugL:
-			b.noteStore()
-			kind := b.bp.SlotKinds[ins.A]
-			dst := b.slots[ins.A]
-			src := b.regs[ins.B]
-			op := ast.OpKind(ins.D)
-			for _, l := range b.active {
-				nv, err := rt.BinOp(op, dst[l], src.at(l))
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-				dst[l] = convSlot(kind, nv)
-			}
-
 		case bytecode.BDecl:
-			b.noteStore()
 			kind := mem.Kind(ins.C)
 			dst := b.slots[ins.A]
 			if ins.B < 0 {
 				z := zeroOf(kind)
-				for _, l := range b.active {
+				for l := range b.nl {
 					dst[l] = z
 				}
 			} else {
 				src := b.regs[ins.B]
-				for _, l := range b.active {
+				for l := range b.nl {
 					dst[l] = convSlot(kind, src.at(l))
 				}
 			}
@@ -565,7 +516,7 @@ func (b *batchExec) run() error {
 				return err
 			}
 			dst := b.vreg(ins.A)
-			for _, l := range b.active {
+			for l := range b.nl {
 				buf, off, err := b.laneOff(v, pbuf, poff, ins.C, ins.D, l, ins.Line)
 				if err != nil {
 					return err
@@ -578,13 +529,12 @@ func (b *batchExec) run() error {
 			}
 
 		case bytecode.BStoreIdx:
-			b.noteStore()
 			v, pbuf, poff, err := b.idxBase(ins.A, ins.C, ins.Line)
 			if err != nil {
 				return err
 			}
 			src := b.regs[ins.D]
-			for _, l := range b.active {
+			for l := range b.nl {
 				buf, off, err := b.laneOff(v, pbuf, poff, ins.B, ins.C, l, ins.Line)
 				if err != nil {
 					return err
@@ -595,14 +545,13 @@ func (b *batchExec) run() error {
 			}
 
 		case bytecode.BAugIdx:
-			b.noteStore()
 			v, pbuf, poff, err := b.idxBase(ins.A, ins.C, ins.Line)
 			if err != nil {
 				return err
 			}
 			src := b.regs[ins.D]
 			op := ast.OpKind(ins.E)
-			for _, l := range b.active {
+			for l := range b.nl {
 				buf, off, err := b.laneOff(v, pbuf, poff, ins.B, ins.C, l, ins.Line)
 				if err != nil {
 					return err
@@ -632,7 +581,7 @@ func (b *batchExec) run() error {
 				break
 			}
 			dst := b.vreg(ins.A)
-			for _, l := range b.active {
+			for l := range b.nl {
 				xv, yv := x.at(l), y.at(l)
 				if xv.K == mem.KInt && yv.K == mem.KInt {
 					if vmIntBin(op, xv.I, yv.I, &dst[l]) {
@@ -650,141 +599,21 @@ func (b *batchExec) run() error {
 				dst[l] = v
 			}
 
-		case bytecode.BUn:
-			x := b.regs[ins.B]
-			op := ast.OpKind(ins.D)
-			if x.uni {
-				v, err := rt.UnOp(op, x.u)
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-				b.setU(ins.A, v)
-				break
-			}
-			dst := b.vreg(ins.A)
-			for _, l := range b.active {
-				v, err := rt.UnOp(op, x.v[l])
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-				dst[l] = v
-			}
-
-		case bytecode.BBool:
-			x := b.regs[ins.A]
-			if x.uni {
-				b.setU(ins.A, mem.Bool(x.u.Truth()))
-				break
-			}
-			dst := b.vreg(ins.A)
-			for _, l := range b.active {
-				dst[l] = mem.Bool(x.v[l].Truth())
-			}
-
-		case bytecode.BAndMerge:
-			x, y := b.regs[ins.B], b.regs[ins.C]
-			if x.uni && !truth(x.u) {
-				b.setU(ins.A, mem.Int(0))
-				break
-			}
-			if x.uni && y.uni {
-				b.setU(ins.A, mem.Bool(truth(y.u)))
-				break
-			}
-			dst := b.vreg(ins.A)
-			for _, l := range b.active {
-				if truth(x.at(l)) {
-					dst[l] = mem.Bool(truth(y.at(l)))
-				} else {
-					dst[l] = mem.Int(0)
-				}
-			}
-
-		case bytecode.BOrMerge:
-			x, y := b.regs[ins.B], b.regs[ins.C]
-			if x.uni && truth(x.u) {
-				b.setU(ins.A, mem.Int(1))
-				break
-			}
-			if x.uni && y.uni {
-				b.setU(ins.A, mem.Bool(truth(y.u)))
-				break
-			}
-			dst := b.vreg(ins.A)
-			for _, l := range b.active {
-				if truth(x.at(l)) {
-					dst[l] = mem.Int(1)
-				} else {
-					dst[l] = mem.Bool(truth(y.at(l)))
-				}
-			}
-
 		case bytecode.BJump:
 			pc = int(ins.A)
 			continue
-		case bytecode.BJumpEmpty:
-			if len(b.active) == 0 {
-				pc = int(ins.A)
-				continue
-			}
 		case bytecode.BJumpUFalse:
-			if !truth(b.regs[ins.A].u) {
+			if !b.regs[ins.A].u.Truth() {
 				pc = int(ins.B)
 				continue
 			}
-
-		case bytecode.BMaskPush:
-			x := b.regs[ins.A]
-			var tr, fa []int32
-			for _, l := range b.active {
-				if truth(x.at(l)) {
-					tr = append(tr, l)
-				} else {
-					fa = append(fa, l)
-				}
-			}
-			b.frames = append(b.frames, maskFrame{saved: b.active, els: fa})
-			b.active = tr
-
-		case bytecode.BMaskInv:
-			x := b.regs[ins.A]
-			var tr, fa []int32
-			for _, l := range b.active {
-				if truth(x.at(l)) {
-					tr = append(tr, l)
-				} else {
-					fa = append(fa, l)
-				}
-			}
-			b.frames = append(b.frames, maskFrame{saved: b.active, els: tr})
-			b.active = fa
-
-		case bytecode.BMaskElse:
-			b.active = b.frames[len(b.frames)-1].els
-
-		case bytecode.BMaskPop:
-			b.active = b.frames[len(b.frames)-1].saved
-			b.frames = b.frames[:len(b.frames)-1]
-
-		case bytecode.BMaskLoop:
-			b.frames = append(b.frames, maskFrame{saved: b.active})
-
-		case bytecode.BMaskNarrow:
-			x := b.regs[ins.A]
-			var keep []int32
-			for _, l := range b.active {
-				if truth(x.at(l)) {
-					keep = append(keep, l)
-				}
-			}
-			b.active = keep
 
 		case bytecode.BRed:
 			src := b.regs[ins.B]
 			op := ast.OpKind(ins.D)
 			acc := b.redAcc
 			ri := ins.A
-			for _, l := range b.active {
+			for l := range b.nl {
 				w := int32(0)
 				if b.workerOf != nil {
 					w = b.workerOf[l]
@@ -796,64 +625,6 @@ func (b *batchExec) run() error {
 				acc[w][ri] = nv
 			}
 
-		case bytecode.BDoInit:
-			cnt, lim, stp := b.slots[ins.A], b.slots[ins.A+1], b.slots[ins.A+2]
-			from, to, step := b.regs[ins.B], b.regs[ins.B+1], b.regs[ins.B+2]
-			for _, l := range b.active {
-				cnt[l] = mem.Int(from.at(l).AsInt())
-				lim[l] = mem.Int(to.at(l).AsInt())
-				sv := step.at(l).AsInt()
-				if sv == 0 {
-					return vmErrf(ins.Line, "do loop with zero step")
-				}
-				stp[l] = mem.Int(sv)
-			}
-
-		case bytecode.BDoCond:
-			cnt, lim, stp := b.slots[ins.A], b.slots[ins.A+1], b.slots[ins.A+2]
-			var keep []int32
-			for _, l := range b.active {
-				s := stp[l].I
-				if (s > 0 && cnt[l].I <= lim[l].I) || (s < 0 && cnt[l].I >= lim[l].I) {
-					keep = append(keep, l)
-				}
-			}
-			b.active = keep
-
-		case bytecode.BDoIv:
-			iv, cnt := b.slots[ins.A], b.slots[ins.B]
-			for _, l := range b.active {
-				iv[l] = cnt[l]
-			}
-
-		case bytecode.BDoNext:
-			cnt, stp := b.slots[ins.A], b.slots[ins.A+2]
-			for _, l := range b.active {
-				cnt[l] = mem.Int(cnt[l].I + stp[l].I)
-			}
-
-		case bytecode.BDoUZero:
-			from := b.regs[ins.A].u.AsInt()
-			to := b.regs[ins.A+1].u.AsInt()
-			step := b.regs[ins.A+2].u.AsInt()
-			if step == 0 {
-				return vmErrf(ins.Line, "do loop with zero step")
-			}
-			b.setU(ins.A, mem.Int(from))
-			b.setU(ins.A+1, mem.Int(to))
-			b.setU(ins.A+2, mem.Int(step))
-
-		case bytecode.BDoUCond:
-			cnt := b.regs[ins.A].u.I
-			to := b.regs[ins.A+1].u.I
-			step := b.regs[ins.A+2].u.I
-			if !((step > 0 && cnt <= to) || (step < 0 && cnt >= to)) {
-				pc = int(ins.B)
-				continue
-			}
-		case bytecode.BDoUNext:
-			b.setU(ins.A, mem.Int(b.regs[ins.A].u.I+b.regs[ins.A+2].u.I))
-
 		case bytecode.BEndBatch:
 			return nil
 
@@ -861,13 +632,5 @@ func (b *batchExec) run() error {
 			return vmErrf(ins.Line, "spmd: bad opcode %d", ins.Op)
 		}
 		pc++
-	}
-}
-
-// noteStore counts stores executed under a partial mask (the
-// accv_spmd_masked_stores_total series).
-func (b *batchExec) noteStore() {
-	if int32(len(b.active)) != b.nl {
-		b.maskedStores++
 	}
 }

@@ -222,46 +222,6 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
 			}
 
-		case bytecode.OpDeref:
-			pv := regs[ins.B]
-			if pv.K != mem.KPtr || pv.P.IsNil() {
-				return ctlNone, vmErrf(ins.Line, "dereference of non-pointer value")
-			}
-			if err := c.checkDerefAt(pv.P.Buf, int(ins.Line)); err != nil {
-				return ctlNone, err
-			}
-			c.maybeYield()
-			v, err := pv.P.Buf.Load(pv.P.Off)
-			if err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
-			}
-			regs[ins.A] = v
-
-		case bytecode.OpStoreDeref, bytecode.OpAugDeref:
-			pv := regs[ins.A]
-			if pv.K != mem.KPtr || pv.P.IsNil() {
-				return ctlNone, vmErrf(ins.Line, "dereference of non-pointer value")
-			}
-			if err := c.checkDerefAt(pv.P.Buf, int(ins.Line)); err != nil {
-				return ctlNone, err
-			}
-			val := regs[ins.B]
-			if ins.Op == bytecode.OpAugDeref {
-				c.maybeYield()
-				old, err := pv.P.Buf.Load(pv.P.Off)
-				if err != nil {
-					return ctlNone, vmErrf(ins.Line, "%v", err)
-				}
-				val, err = rt.BinOp(ast.OpKind(ins.D), old, val)
-				if err != nil {
-					return ctlNone, vmErrf(ins.Line, "%v", err)
-				}
-			}
-			c.maybeYield()
-			if err := pv.P.Buf.Store(pv.P.Off, val); err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
-			}
-
 		case bytecode.OpBin:
 			xp, yp := &regs[ins.B], &regs[ins.C]
 			if xp.K == mem.KInt && yp.K == mem.KInt {
@@ -335,9 +295,6 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 
 		case bytecode.OpRet:
 			c.retVal = regs[ins.A]
-			return ctlReturn, nil
-		case bytecode.OpRet0:
-			c.retVal = mem.Int(0)
 			return ctlReturn, nil
 		case bytecode.OpEnd:
 			return ctlNone, nil

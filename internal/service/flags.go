@@ -19,7 +19,6 @@ var flagDefs = []struct{ name, usage string }{
 	{"max-inflight-ops", "aggregate simulated-op budget held by admitted requests (0 = default 2^38, negative = unlimited)"},
 	{"j", "default suite parallelism when a request does not set one (0 = GOMAXPROCS)"},
 	{"drain-timeout", "graceful-drain deadline on SIGTERM/SIGINT"},
-	{"no-memo", "disable the shared sweep memo table"},
 	{"store", "persistent result-store directory backing sweeps (empty = in-memory memo only; docs/STORE.md)"},
 	{"store-cap", "result-store entry cap, LRU-evicted past it (0 = default 65536, negative = unbounded)"},
 }
@@ -48,7 +47,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.DefaultParallelism, "j", 0,
 		fmt.Sprintf("%s (this host: %d)", usage["j"], runtime.GOMAXPROCS(0)))
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", 30*time.Second, usage["drain-timeout"])
-	fs.BoolVar(&c.NoMemo, "no-memo", false, usage["no-memo"])
 	fs.StringVar(&c.StoreDir, "store", "", usage["store"])
 	fs.IntVar(&c.StoreCap, "store-cap", 0, usage["store-cap"])
 }

@@ -340,21 +340,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		accv.WithEngine(engine),
 		accv.WithObs(s.obs),
 		accv.WithCompileCache(s.cache),
-	}
-	if !s.cfg.NoMemo {
 		// The cross-request memo: sweeps repeated across requests (CI
 		// jobs re-validating every release) are served from the shared
 		// single-flight table, and concurrent identical sweeps coalesce
 		// per test execution.
-		opts = append(opts, accv.WithSweepMemo(s.memo))
-		if s.store != nil {
-			// The persistent store behind the memo: verdicts survive
-			// daemon restarts, so a freshly started accvd serves repeat
-			// sweeps from disk instead of re-executing (docs/STORE.md).
-			opts = append(opts, accv.WithResultStore(s.store))
-		}
-	} else {
-		opts = append(opts, accv.WithoutSweepMemo())
+		accv.WithSweepMemo(s.memo),
+	}
+	if s.store != nil {
+		// The persistent store behind the memo: verdicts survive daemon
+		// restarts, so a freshly started accvd serves repeat sweeps from
+		// disk instead of re-executing (docs/STORE.md).
+		opts = append(opts, accv.WithResultStore(s.store))
 	}
 	if req.Family != "" {
 		opts = append(opts, accv.WithFamily(req.Family))

@@ -3,11 +3,12 @@
 // vet, suite, and sweep requests — plus a streaming (SSE) endpoint for
 // live suite progress — to many concurrent clients.
 //
-// Every request shares one compiled-program cache and one sweep memo
-// table, so the service gets warmer the longer it runs: a suite a client
-// already ran compiles for free, a sweep a client already asked for is
-// served out of the single-flight memo, and identical concurrent suite
-// requests coalesce into one execution. Admission control (core.Admission)
+// Run, suite and sweep requests share one compiled-program cache, and
+// sweep requests one sweep memo table, so the service gets warmer the
+// longer it runs: a program a run or suite request already compiled is
+// served from the cache, a sweep a client already asked for is served out
+// of the single-flight memo, and identical concurrent suite requests
+// coalesce into one execution. POST /v1/compile always compiles afresh. Admission control (core.Admission)
 // bounds per-client concurrency and the aggregate in-flight op budget;
 // refusals are HTTP 429 with Retry-After. Telemetry rides the internal/obs
 // registry: /metrics exports the accvd_* request series together with the
@@ -57,9 +58,6 @@ type Config struct {
 	// DrainTimeout bounds the graceful drain cmd/accvd performs on
 	// SIGTERM/SIGINT. Default 30s.
 	DrainTimeout time.Duration
-	// NoMemo disables the shared sweep memo (every sweep request then
-	// executes naively; the compile cache still applies).
-	NoMemo bool
 	// StoreDir, when set, backs sweep requests with the persistent
 	// result store rooted there (docs/STORE.md): sweeps warm from disk
 	// across daemon restarts and write every verdict through. Empty

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"testing"
 
+	"accv/internal/bytecode"
 	"accv/internal/core"
 )
 
@@ -110,42 +111,39 @@ func TestEngineDifferentialReports(t *testing.T) {
 // TestEngineDifferentialCoversTheVM guards the differential suite against
 // vacuity: if the lowerer silently declined everything, the VM engine would
 // trivially equal the tree-walker because it never executed bytecode. Every
-// template's functional program must compile to a module that lowered at
-// least one procedure, and across the corpus lowered procs must dominate.
+// program of the reference corpus must compile to a module that lowered at
+// least one procedure, lowered procs must dominate, and every scalar
+// opcode must be emitted at least once — an opcode no program lowers to is
+// dead weight in the dispatch loop.
 func TestEngineDifferentialCoversTheVM(t *testing.T) {
 	lowered, declined, programs := 0, 0, 0
-	check := func(tc Compiler, lang Language, tpls []*core.Template) {
-		for _, tpl := range tpls {
-			src, _, _, err := tpl.Generate()
-			if err != nil {
-				t.Fatalf("%s: generate: %v", tpl.Name, err)
-			}
-			prog, err := Parse(src, lang)
-			if err != nil {
-				t.Fatalf("%s: parse: %v", tpl.Name, err)
-			}
-			exe, _, err := tc.Compile(prog)
-			if err != nil {
-				t.Fatalf("%s: compile: %v", tpl.Name, err)
-			}
-			if exe.Code == nil {
-				t.Fatalf("%s: executable has no bytecode module", tpl.Name)
-			}
-			if exe.Code.Lowered == 0 {
-				t.Errorf("%s (%s): no procedure lowered to bytecode", tpl.Name, lang)
-			}
-			lowered += exe.Code.Lowered
-			declined += exe.Code.Declined
-			programs++
+	emitted := map[bytecode.Op]int{}
+	for _, p := range referenceCorpus(t) {
+		exe := p.compile(t)
+		if exe == nil {
+			continue
 		}
-	}
-	for _, lang := range []Language{C, Fortran} {
-		check(Reference(), lang, core.ByLang(lang))
-		check(Reference20(), lang, core.ByLang20(lang))
+		if exe.Code == nil {
+			t.Fatalf("%s: executable has no bytecode module", p.name)
+		}
+		if exe.Code.Lowered == 0 {
+			t.Errorf("%s (%s): no procedure lowered to bytecode", p.name, p.lang)
+		}
+		for _, proc := range exe.Code.Procs() {
+			for _, in := range proc.Code {
+				emitted[in.Op]++
+			}
+		}
+		lowered += exe.Code.Lowered
+		declined += exe.Code.Declined
+		programs++
 	}
 	t.Logf("corpus: %d programs, %d procs lowered, %d declined", programs, lowered, declined)
 	if lowered <= declined {
 		t.Errorf("lowerer declined more procs (%d) than it lowered (%d); the VM hot path is not covered", declined, lowered)
+	}
+	if dead := neverEmitted(emitted, bytecode.OpNop, bytecode.OpEnd); len(dead) > 0 {
+		t.Errorf("scalar opcodes %v (internal/bytecode/bytecode.go order) are never emitted", dead)
 	}
 }
 

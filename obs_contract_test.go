@@ -69,33 +69,6 @@ func TestTelemetryContract(t *testing.T) {
 	}
 	vmRunner.Run(accv.Reference())
 
-	// A single divergent-store kernel under the default engine: the varying
-	// branch executes under a partial execution mask, driving
-	// accv_spmd_masked_stores_total (no registry template diverges inside
-	// a batched nest, so the contract needs its own workload).
-	divergent := `
-int acc_test()
-{
-    int n = 64;
-    int i;
-    int a[64];
-    for (i = 0; i < n; i++) a[i] = i;
-    #pragma acc parallel copy(a[0:n]) num_gangs(2)
-    {
-        #pragma acc loop gang
-        for (i = 0; i < n; i++) {
-            if (a[i] > 31)
-                a[i] = a[i] * 2;
-        }
-    }
-    return (a[63] == 126);
-}
-`
-	if res, err := accv.CompileAndRun(divergent, accv.C, accv.Reference(),
-		accv.WithObs(o)); err != nil || res.Err != nil || res.Exit != 1 {
-		t.Fatalf("divergent kernel: err=%v runtime=%v exit=%d", err, res.Err, res.Exit)
-	}
-
 	// A harness screening epoch plus a degradation query.
 	h := accv.NewHarness(2, accv.DefaultStacks()[:1])
 	h.Obs = o
@@ -149,7 +122,6 @@ int acc_test()
 		"accv_sweep_memo_hits_total", "accv_sweep_memo_misses_total",
 		"accv_store_hits_total", "accv_store_misses_total",
 		"accv_spmd_batched_nests_total", "accv_spmd_fallback_nests_total",
-		"accv_spmd_masked_stores_total",
 	} {
 		found := false
 		for _, p := range snap.Counters {
