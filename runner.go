@@ -41,8 +41,7 @@ type options struct {
 	engine      Engine
 
 	// Sweep knobs (RunSweep).
-	langs  []Language
-	noMemo bool
+	langs []Language
 
 	// Shared-infrastructure knobs (the accvd service).
 	progress func(TestResult)
@@ -134,11 +133,6 @@ func WithFamily(name string) Option { return func(o *options) { o.family = name 
 func WithLangs(langs ...Language) Option {
 	return func(o *options) { o.langs = append([]Language(nil), langs...) }
 }
-
-// WithoutSweepMemo disables RunSweep's fingerprint memoization, forcing
-// every (version × lang) cell to execute naively. This is the
-// differential-testing baseline; it is never faster.
-func WithoutSweepMemo() Option { return func(o *options) { o.noMemo = true } }
 
 // WithTemplates runs exactly the given test cases, overriding language
 // and family selection.

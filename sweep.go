@@ -21,10 +21,10 @@ type SweepResult = sweep.Result
 //
 // The options share the Runner vocabulary — WithLangs, WithFamily,
 // WithIterations, WithParallelism (the total worker budget across cells),
-// WithTimeout, WithVet, WithEngine, WithObs, WithCompileCache — plus
-// WithoutSweepMemo for the naive baseline. Canceling ctx returns the
-// partial result with interrupted tests marked Canceled, together with
-// ctx's error.
+// WithTimeout, WithVet, WithEngine, WithObs, WithCompileCache,
+// WithSweepMemo and WithResultStore. Canceling ctx returns the partial
+// result with interrupted tests marked Canceled, together with ctx's
+// error.
 func RunSweep(ctx context.Context, vendor string, opts ...Option) (*SweepResult, error) {
 	o := gather(opts)
 	return sweep.Run(ctx, vendor, sweep.Options{
@@ -37,7 +37,6 @@ func RunSweep(ctx context.Context, vendor string, opts ...Option) (*SweepResult,
 		Engine:      o.engine,
 		FailFast:    o.failFast,
 		Obs:         o.obs,
-		NoMemo:      o.noMemo,
 		Cache:       o.cache,
 		Memo:        o.memo,
 		Store:       o.store,
