@@ -191,21 +191,6 @@ func BenchmarkFigure13TitanHarness(b *testing.B) {
 
 // --- ablation and micro benches -----------------------------------------
 
-// BenchmarkSuiteReferenceC measures full-suite throughput on the reference
-// compiler (the harness-integration cost that §VII's screening pays).
-func BenchmarkSuiteReferenceC(b *testing.B) {
-	tc, _ := vendors.New("reference", "")
-	tpls := core.ByLang(ast.LangC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := core.RunSuite(core.Config{Toolchain: tc, Iterations: 1}, tpls)
-		if res.Failed() != 0 {
-			b.Fatalf("reference compiler failed %d tests", res.Failed())
-		}
-	}
-	b.ReportMetric(float64(len(tpls)), "tests")
-}
-
 // BenchmarkVendorMappingAblation compares the simulated kernel cost of a
 // worker-level loop under the three vendor gang/worker/vector mappings
 // (§II): PGI ignores the worker level, so the same program serializes onto

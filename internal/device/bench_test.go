@@ -71,14 +71,3 @@ func BenchmarkQueueThroughput(b *testing.B) {
 	<-done
 	_ = q.Wait()
 }
-
-// BenchmarkLaunch measures kernel fan-out/join overhead at typical gang
-// counts.
-func BenchmarkLaunch(b *testing.B) {
-	d := New(Config{})
-	for i := 0; i < b.N; i++ {
-		if err := d.Launch(nil, 8, func(g int) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

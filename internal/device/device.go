@@ -1,15 +1,16 @@
 // Package device implements the simulated accelerator the validation suite
 // runs against: discrete device memory with a present table, per-tag async
-// queues, gang-parallel kernel launches over goroutines, and a simulated
-// cycle model whose gang/worker/vector mapping is configurable per vendor
-// (PGI, CAPS, and Cray map the three parallelism levels differently, §II of
-// the paper).
+// queues, the kernel-launch gate (backend gang limit and kernel count), and
+// a simulated cycle model whose gang/worker/vector mapping is configurable
+// per vendor (PGI, CAPS, and Cray map the three parallelism levels
+// differently, §II of the paper).
 //
 // The device stands in for the NVIDIA K20 of the paper's testbed: every
 // observable behaviour the test programs check — stale host copies,
 // uninitialized device allocations, lost updates under redundant execution,
-// async completion — follows from discrete memory plus real concurrency,
-// both of which this package provides.
+// async completion — follows from discrete memory plus real concurrency.
+// This package provides the memory and the async queues; the interpreter
+// runs a kernel's gangs and workers on goroutines of their own.
 package device
 
 import (
@@ -124,9 +125,11 @@ type Config struct {
 	DefaultVectorLen int
 	// GarbageSeed seeds the uninitialized-memory pattern.
 	GarbageSeed int64
-	// InterleavePeriod is the number of interpreted operations between
-	// scheduler yield points inside kernels; smaller values interleave
-	// gangs more aggressively (drives the cross-test race statistics).
+	// InterleavePeriod is read by nothing: kernels yield at the
+	// interpreter's seeded points (interp's kernelState.maybeYield), not
+	// every N operations. It stays only because Vendor.SemanticsKey
+	// prints the device config into every result-store key, so removing
+	// the field would turn every existing store cold.
 	InterleavePeriod int
 	// LaunchOverheadCycles is added to each kernel's simulated cost.
 	LaunchOverheadCycles int64
@@ -169,10 +172,8 @@ func (c Config) Defaults() Config {
 // and queue counters feed the accv_device_*, accv_present_lookups_total,
 // and accv_queue_waits_total metric series (docs/OBSERVABILITY.md).
 type Stats struct {
-	// Kernels counts kernel launches; AsyncKernels the subset enqueued on
-	// async queues.
-	Kernels      atomic.Int64
-	AsyncKernels atomic.Int64
+	// Kernels counts kernel launches.
+	Kernels atomic.Int64
 	// ElemsCopiedIn/ElemsCopiedOut count elements moved host→device /
 	// device→host; BytesCopiedIn/BytesCopiedOut the same traffic in
 	// simulated bytes (elements × mem.SizeofBasic).
@@ -250,69 +251,14 @@ func (d *Device) Free(p mem.Ptr) error {
 	return nil
 }
 
-// Launch runs a kernel of `gangs` gang goroutines. When q is nil the launch
-// is synchronous; otherwise it is enqueued on q in FIFO order and Launch
-// returns immediately. The kernel function receives the gang index; errors
-// from any gang abort the kernel and surface either directly (sync) or at
-// the next wait (async). When several gangs fail, the lowest-numbered
-// gang's error is the one reported (LaneError).
-func (d *Device) Launch(q *Queue, gangs int, kernel func(gang int) error) error {
-	if gangs < 1 {
-		gangs = 1
-	}
+// Launch admits a kernel of `gangs` gangs: it refuses a launch past the
+// backend's gang limit and counts the kernel. The caller runs the gangs.
+func (d *Device) Launch(gangs int) error {
 	if lim := d.Cfg.Backend.GangLimit; gangs > lim {
 		return fmt.Errorf("num_gangs %d exceeds backend limit %d", gangs, lim)
 	}
-	run := func() error {
-		d.Stats.Kernels.Add(1)
-		var wg sync.WaitGroup
-		var failed LaneError
-		for g := 0; g < gangs; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				failed.Record(g, kernel(g))
-			}(g)
-		}
-		wg.Wait()
-		return failed.Err()
-	}
-	if q == nil {
-		return run()
-	}
-	d.Stats.AsyncKernels.Add(1)
-	q.Enqueue(run)
+	d.Stats.Kernels.Add(1)
 	return nil
-}
-
-// LaneError collects the failures of lanes that run concurrently — gangs,
-// worker lanes — and keeps the lowest-numbered lane's error, so the error
-// a kernel reports does not depend on which goroutine the scheduler
-// finished first. The zero value is ready to use and safe for concurrent
-// use.
-type LaneError struct {
-	mu   sync.Mutex
-	lane int
-	err  error
-}
-
-// Record notes lane's failure; a nil err is ignored.
-func (e *LaneError) Record(lane int, err error) {
-	if err == nil {
-		return
-	}
-	e.mu.Lock()
-	if e.err == nil || lane < e.lane {
-		e.lane, e.err = lane, err
-	}
-	e.mu.Unlock()
-}
-
-// Err returns the lowest-numbered failing lane's error, or nil.
-func (e *LaneError) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
 }
 
 // Queue returns (creating on demand) the async queue for the given tag.
@@ -328,7 +274,9 @@ func (d *Device) Queue(tag int64) *Queue {
 	return q
 }
 
-// TestAll reports whether every async queue has drained (acc_async_test_all).
+// TestAll reports whether every async queue has drained
+// (acc_async_test_all). It tests every queue, so each one's first-Test
+// mark is consumed whatever the map order.
 func (d *Device) TestAll() bool {
 	d.mu.Lock()
 	qs := make([]*Queue, 0, len(d.queues))
@@ -336,12 +284,13 @@ func (d *Device) TestAll() bool {
 		qs = append(qs, q)
 	}
 	d.mu.Unlock()
+	done := true
 	for _, q := range qs {
 		if !q.Test() {
-			return false
+			done = false
 		}
 	}
-	return true
+	return done
 }
 
 // WaitAll blocks until every async queue has drained and returns the first

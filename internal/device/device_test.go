@@ -56,6 +56,54 @@ func TestQueueTestAndWait(t *testing.T) {
 	}
 }
 
+// idle blocks until q's worker goroutine has stopped, without consuming
+// the first-Test mark the way Test and Wait do.
+func idle(q *Queue) {
+	q.mu.Lock()
+	for q.running {
+		q.cond.Wait()
+	}
+	q.mu.Unlock()
+}
+
+func TestQueueFirstTestReportsPending(t *testing.T) {
+	q := newQueue(4)
+	ran := false
+	q.Enqueue(func() error { ran = true; return nil })
+	idle(q)
+	if !ran {
+		t.Fatal("the op must have run")
+	}
+	if q.Test() {
+		t.Error("the first Test after an enqueue must report the work pending")
+	}
+	if !q.Test() {
+		t.Error("a later Test must report the finished work done")
+	}
+	q.Enqueue(func() error { return nil })
+	if err := q.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !q.Test() {
+		t.Error("Wait must clear the first-Test mark")
+	}
+}
+
+func TestTestAllConsumesEveryMark(t *testing.T) {
+	d := newDev()
+	for tag := int64(0); tag < 4; tag++ {
+		q := d.Queue(tag)
+		q.Enqueue(func() error { return nil })
+		idle(q)
+	}
+	if d.TestAll() {
+		t.Error("the first TestAll after enqueues must report work pending")
+	}
+	if !d.TestAll() {
+		t.Error("the second TestAll must see every queue done")
+	}
+}
+
 func TestQueueDeferredError(t *testing.T) {
 	q := newQueue(3)
 	boom := errors.New("boom")
@@ -311,39 +359,16 @@ func TestParseTypeName(t *testing.T) {
 	}
 }
 
-func TestLaunchErrorPropagation(t *testing.T) {
-	d := newDev()
-	boom := errors.New("gang failure")
-	err := d.Launch(nil, 4, func(g int) error {
-		if g == 2 {
-			return boom
-		}
-		return nil
-	})
-	if err != boom {
-		t.Fatalf("want gang error, got %v", err)
-	}
-}
-
-func TestLaneErrorKeepsLowestLane(t *testing.T) {
-	var e LaneError
-	if e.Err() != nil {
-		t.Fatal("zero LaneError must report no error")
-	}
-	e1, e2, e3 := errors.New("lane 1"), errors.New("lane 2"), errors.New("lane 3")
-	e.Record(3, e3)
-	e.Record(1, e1)
-	e.Record(2, e2)
-	e.Record(0, nil)
-	if e.Err() != e1 {
-		t.Fatalf("want the lowest failing lane's error, got %v", e.Err())
-	}
-}
-
 func TestLaunchGangLimit(t *testing.T) {
 	d := New(Config{Backend: Backend{Name: "tiny", GangLimit: 2, WorkerLimit: 1, VectorLimit: 1, CycleScale: 1}})
-	if err := d.Launch(nil, 3, func(int) error { return nil }); err == nil {
+	if err := d.Launch(3); err == nil {
 		t.Fatal("gang limit must be enforced")
+	}
+	if err := d.Launch(2); err != nil {
+		t.Fatalf("a launch at the limit must be admitted: %v", err)
+	}
+	if n := d.Stats.Kernels.Load(); n != 1 {
+		t.Fatalf("only the admitted launch counts as a kernel, got %d", n)
 	}
 }
 

@@ -19,6 +19,7 @@ type Queue struct {
 	ops     []func() error
 	running bool
 	closed  bool
+	unseen  bool  // work enqueued since the last Test or Wait
 	err     error // first deferred error since the last Wait
 }
 
@@ -36,6 +37,7 @@ func (q *Queue) Enqueue(op func() error) {
 		return
 	}
 	q.ops = append(q.ops, op)
+	q.unseen = true
 	if !q.running {
 		q.running = true
 		go q.drain()
@@ -64,10 +66,18 @@ func (q *Queue) drain() {
 }
 
 // Test reports whether all activities on the queue have completed
-// (acc_async_test semantics: nonzero when done).
+// (acc_async_test semantics: nonzero when done). The first Test after new
+// work is enqueued reports it pending whether or not the worker finished
+// it, so a program's first acc_async_test answer does not depend on how
+// fast the host reached the call; later ones report the real state, so a
+// polling loop still ends.
 func (q *Queue) Test() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.unseen {
+		q.unseen = false
+		return false
+	}
 	return !q.running && len(q.ops) == 0
 }
 
@@ -82,6 +92,7 @@ func (q *Queue) Wait() error {
 	for q.running || len(q.ops) > 0 {
 		q.cond.Wait()
 	}
+	q.unseen = false
 	err := q.err
 	q.err = nil
 	return err

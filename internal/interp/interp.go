@@ -1,10 +1,11 @@
 // Package interp executes compiled OpenACC programs: it is both the host
 // interpreter and the OpenACC runtime. Host code runs against host buffers;
-// compute constructs launch gang goroutines on the simulated device
+// compute constructs run their gangs against the simulated device
 // (internal/device) with the gang-redundant / worker / vector execution
-// model of the specification; under the VM engine, loop nests the compiler
-// batch-lowered run each gang's lanes as lockstep batches instead of
-// per-worker goroutines (spmd.go). The interpreter consults the executable's
+// model of the specification, every gang and worker fan-out going through
+// one lane runner (runLanes, lanes.go); under the VM engine, loop nests the
+// compiler batch-lowered run each gang's lanes as lockstep batches instead
+// of per-worker goroutines (spmd.go). The interpreter consults the executable's
 // lowering plans (regions, loop schedules) and its vendor bug hooks, so a
 // miscompiled plan produces exactly the wrong-code behaviours the validation
 // suite is designed to detect.
@@ -187,15 +188,8 @@ func Run(exe *compiler.Executable, cfg RunConfig) Result {
 		if err := ctxErr(cfg.Ctx); err != nil {
 			return Result{Err: err} // context already dead: never start
 		}
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-cfg.Ctx.Done():
-				in.requestStop(ctxErr(cfg.Ctx))
-			case <-watchDone:
-			}
-		}()
+		stop := context.AfterFunc(cfg.Ctx, func() { in.requestStop(ctxErr(cfg.Ctx)) })
+		defer stop()
 	}
 
 	dev := plat.Current()

@@ -323,6 +323,43 @@ int acc_test() {
 	}
 }
 
+// The first acc_async_test after an async launch reports the work pending
+// however long the host idles first, and polling still ends once it is done.
+func TestFirstAsyncTestReportsPending(t *testing.T) {
+	src := `
+int acc_test() {
+    int n = 64;
+    int i, s, first, polls, errors;
+    int a[64];
+    for (i = 0; i < n; i++) a[i] = 0;
+    #pragma acc parallel copy(a[0:n]) async(1)
+    {
+        #pragma acc loop
+        for (i = 0; i < n; i++) a[i] = i + 1;
+    }
+    s = 0;
+    for (i = 0; i < 200000; i++) s = s + 1;
+    first = acc_async_test(1);
+    polls = 0;
+    while (!acc_async_test(1)) polls++;
+    errors = 0;
+    for (i = 0; i < n; i++) {
+        if (a[i] != i + 1) errors++;
+    }
+    printf("first=%d errors=%d\n", first, errors);
+    return 1;
+}`
+	for _, eng := range []interp.Engine{interp.EngineVM, interp.EngineTree} {
+		res := run(t, src, interp.RunConfig{Engine: eng})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", eng, res.Err)
+		}
+		if res.Output != "first=0 errors=0\n" {
+			t.Errorf("%s: got %q, want the first test pending and every element copied back", eng, res.Output)
+		}
+	}
+}
+
 // Property: a device loop reduction over random int arrays equals the
 // sequential Go sum, for every operator with an exact integer semantics.
 func TestReductionMatchesSequential(t *testing.T) {

@@ -3,12 +3,9 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"accv/internal/ast"
 	"accv/internal/compiler"
-	"accv/internal/device"
 	"accv/internal/mem"
 )
 
@@ -232,21 +229,13 @@ func (c *execCtx) execLoop(p *ast.PragmaStmt, plan *compiler.LoopPlan) error {
 	if k.kernelsMode && hasGang {
 		// Inside a kernels region the body runs single-threaded; a
 		// gang-partitioned loop fans out to gang goroutines here.
-		dev := c.in.plat.Current()
-		var maxOps atomic.Int64
+		if err := c.in.plat.Current().Launch(k.gangs); err != nil {
+			return err
+		}
 		if c.in.rc != nil {
 			c.in.rc.barrier() // gangs of this loop are ordered after prior work
 		}
-		err := dev.Launch(nil, k.gangs, func(g int) (err error) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					if s, ok := rec.(stopSignal); ok {
-						err = s.err
-					} else {
-						err = &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)}
-					}
-				}
-			}()
+		maxOps, err := runLanes(k.gangs, func(g int) (int64, error) {
 			k2 := *k
 			k2.gang = g
 			k2.kernelsMode = false
@@ -257,16 +246,13 @@ func (c *execCtx) execLoop(p *ast.PragmaStmt, plan *compiler.LoopPlan) error {
 			}
 			cc := *c
 			cc.kernel = &k2
-			if err := cc.runLoopLanes(p, plan, loops, body, true, hasWorker); err != nil {
-				return err
-			}
-			atomicMax(&maxOps, k2.ops)
-			return nil
+			err := cc.runLoopLanes(p, plan, loops, body, true, hasWorker)
+			return k2.ops, err
 		})
 		if c.in.rc != nil {
 			c.in.rc.barrier() // the fan-out joins before the walker continues
 		}
-		k.ops += maxOps.Load()
+		k.ops += maxOps
 		return err
 	}
 	return c.runLoopLanes(p, plan, loops, body, hasGang, hasWorker)
@@ -281,7 +267,7 @@ type redVar struct {
 
 // runLoopLanes distributes the collapsed iteration space across the
 // partitioning levels: gang filtering uses this lane's gang id, worker
-// partitioning spawns worker goroutines, and vector lanes are virtualized
+// partitioning fans out through runLanes, and vector lanes are virtualized
 // within each worker — each lane keeps its own private/induction
 // environment but executes sequentially on the worker's goroutine
 // (exactly-once execution is preserved; vector width feeds the timing
@@ -342,13 +328,11 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 	if in.rc != nil {
 		raceInv = in.rc.id()
 	}
-	var wg sync.WaitGroup
-	var failed device.LaneError
-	var maxOps atomic.Int64
 	partials := make([][]mem.Value, W)
 
 	// The VM runs the lane set as batches when the compile-time lowering
 	// and the runtime gates both admit the nest.
+	var err error
 	batched := false
 	if in.code != nil {
 		if bp, reason := c.batchFor(p, plan, loops); bp == nil {
@@ -356,23 +340,14 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		} else {
 			batched = true
 			in.spmdBatched.Add(1)
-			failed.Record(0, c.runBatch(bp, loops, total, G, gi, W, reds, partials))
+			err = c.runBatch(bp, loops, total, G, gi, W, reds, partials)
 		}
 	}
 
-	worker := func(w int64) {
-		defer wg.Done()
-		defer func() {
-			if rec := recover(); rec != nil {
-				if s, ok := rec.(stopSignal); ok {
-					failed.Record(int(w), s.err)
-				} else {
-					failed.Record(int(w), &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)})
-				}
-			}
-		}()
+	worker := func(wi int) (int64, error) {
+		w := int64(wi)
 		lk := *k
-		lk.worker = int(w)
+		lk.worker = wi
 		lk.ops = 0
 		lk.rng ^= uint64(w+1) * 0xd6e8feb86659fd93
 		// The worker environment carries the reduction accumulators,
@@ -458,8 +433,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 			}
 			l.ctx.tick()
 			if _, err := l.ctx.exec(body); err != nil {
-				failed.Record(int(w), err)
-				return
+				return 0, err
 			}
 		}
 		// Publish partials for the combine phase.
@@ -469,25 +443,18 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 			vals[i] = v
 		}
 		partials[w] = vals
-		atomicMax(&maxOps, lk.ops)
+		return lk.ops, nil
 	}
 
 	if !batched {
-		for w := int64(0); w < W; w++ {
-			wg.Add(1)
-			if W == 1 {
-				worker(w) // avoid goroutine churn for unpartitioned workers
-			} else {
-				go worker(w)
-			}
-		}
-		wg.Wait()
-		// Worker lanes ran in parallel: charge the slowest lane. With the PGI
-		// mapping (worker ignored) W==1 and all iterations land on one lane,
-		// which is exactly the §II performance observation.
-		k.ops += maxOps.Load()
+		// Worker lanes run in parallel: charge the slowest lane. With the
+		// PGI mapping (worker ignored) W==1 and all iterations land on one
+		// lane, which is exactly the §II performance observation.
+		var maxOps int64
+		maxOps, err = runLanes(int(W), worker)
+		k.ops += maxOps
 	}
-	if err := failed.Err(); err != nil {
+	if err != nil {
 		return err
 	}
 

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"accv/internal/ast"
 	"accv/internal/compiler"
@@ -386,20 +385,12 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 		vlen = cfg.Backend.VectorLimit
 	}
 
-	// Async configuration.
+	// Async configuration. A launch the PGI async bug blocks runs
+	// synchronously and never evaluates its tag.
 	var q *device.Queue
-	if cl := dir.Get(directive.Async); cl != nil && !r.ForceSync {
-		blocked := hooks.AsyncDisabledWithData && len(explicitData(r)) > 0
-		if !blocked {
-			tag := int64(-1)
-			if cl.Arg != nil {
-				v, err := c.eval(cl.Arg)
-				if err != nil {
-					return err
-				}
-				tag = v.AsInt()
-			}
-			q = dev.Queue(tag)
+	if !hooks.AsyncDisabledWithData || !hasExplicitData(r) {
+		if q, err = c.asyncQueue(r); err != nil {
+			return err
 		}
 	}
 
@@ -505,17 +496,13 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 			}
 		}
 
-		var maxOps atomic.Int64
-		gangFn := func(g int) (err error) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					if s, ok := rec.(stopSignal); ok {
-						err = s.err
-					} else {
-						err = &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)}
-					}
-				}
-			}()
+		launchGangs := gangs
+		if kernelsMode {
+			// A kernels region is a single logical thread: gang 0 walks the
+			// body, and annotated loops fan out to gangs internally.
+			launchGangs = 1
+		}
+		gangFn := func(g int) (int64, error) {
 			genv := NewEnv(regionEnv)
 			for _, pv := range gangPriv[g] {
 				genv.Bind(pv)
@@ -532,41 +519,28 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 				k.raceGang = in.rc.id()
 			}
 			kc := &execCtx{in: in, env: genv, kernel: k}
+			var err error
 			if combinedPlan != nil {
-				err2 := kc.execLoop(p, combinedPlan)
-				if err2 != nil {
-					return err2
-				}
+				err = kc.execLoop(p, combinedPlan)
 			} else {
-				if _, err2 := kc.exec(body); err2 != nil {
-					return err2
-				}
+				_, err = kc.exec(body)
 			}
-			atomicMax(&maxOps, k.ops)
-			return nil
+			return k.ops, err
 		}
 
-		launchGangs := gangs
-		if kernelsMode {
-			// A kernels region is a single logical thread; annotated loops
-			// fan out to gangs internally.
-			launchGangs = 1
-		}
-		if in.rc != nil {
-			in.rc.barrier() // launch edge: host work cannot race the kernel
-		}
-		kerr := dev.Launch(nil, launchGangs, func(g int) error {
-			if kernelsMode {
-				// Gang 0 walks the body; loop directives spawn the gangs.
-				return gangFn(0)
+		var maxOps int64
+		kerr := dev.Launch(launchGangs)
+		if kerr == nil {
+			if in.rc != nil {
+				in.rc.barrier() // launch edge: host work cannot race the kernel
 			}
-			return gangFn(g)
-		})
-		if in.rc != nil {
-			in.rc.barrier() // join edge: later regions are ordered after this one
+			maxOps, kerr = runLanes(launchGangs, gangFn)
+			if in.rc != nil {
+				in.rc.barrier() // join edge: later regions are ordered after this one
+			}
 		}
 
-		dev.AddCycles(int64(float64(maxOps.Load()) * dev.Cfg.Backend.CycleScale))
+		dev.AddCycles(int64(float64(maxOps) * dev.Cfg.Backend.CycleScale))
 
 		// Region-level reduction combine: initial value op all gang partials,
 		// written back to the host variable.
@@ -602,16 +576,16 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 	return op()
 }
 
-// explicitData counts data clauses spelled in the source (the PGI async bug
-// triggers only when the compute construct itself carries data clauses).
-func explicitData(r *compiler.Region) []compiler.DataAction {
-	var out []compiler.DataAction
+// hasExplicitData reports whether the construct spells a data clause in
+// the source (the PGI async bug triggers only when the compute construct
+// itself carries data clauses).
+func hasExplicitData(r *compiler.Region) bool {
 	for _, a := range r.Data {
 		if !a.Implicit {
-			out = append(out, a)
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // makePrivate builds a private copy of a variable: garbage-initialized, or
@@ -628,16 +602,6 @@ func makePrivate(v *VarInfo, snapshot []mem.Value, seed int64) *VarInfo {
 		}
 	}
 	return &VarInfo{Name: v.Name, Kind: v.Kind, Buf: buf, Dims: v.Dims, Lower: v.Lower, IsPtr: v.IsPtr}
-}
-
-// atomicMax raises a to at least v.
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // execDataRegion runs a structured data construct.
@@ -750,19 +714,33 @@ func (c *execCtx) execUpdate(r *compiler.Region) error {
 		}
 		return nil
 	}
-	if cl := r.Dir.Get(directive.Async); cl != nil && !r.ForceSync {
-		tag := int64(-1)
-		if cl.Arg != nil {
-			v, err := c.eval(cl.Arg)
-			if err != nil {
-				return err
-			}
-			tag = v.AsInt()
-		}
-		dev.Queue(tag).Enqueue(run)
+	q, err := c.asyncQueue(r)
+	if err != nil {
+		return err
+	}
+	if q != nil {
+		q.Enqueue(run)
 		return nil
 	}
 	return run()
+}
+
+// asyncQueue evaluates a directive's async clause and returns the queue it
+// names, or nil when the directive runs synchronously.
+func (c *execCtx) asyncQueue(r *compiler.Region) (*device.Queue, error) {
+	cl := r.Dir.Get(directive.Async)
+	if cl == nil || r.ForceSync {
+		return nil, nil
+	}
+	tag := int64(-1)
+	if cl.Arg != nil {
+		v, err := c.eval(cl.Arg)
+		if err != nil {
+			return nil, err
+		}
+		tag = v.AsInt()
+	}
+	return c.in.plat.Current().Queue(tag), nil
 }
 
 // execWait runs the wait directive.

@@ -19,7 +19,6 @@ package interp
 // are proven lane-independent, so interleaving is unobservable.
 
 import (
-	"fmt"
 	"sync"
 
 	"accv/internal/ast"
@@ -171,15 +170,7 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 		}
 		b.redAcc[w] = acc
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			if s, ok := rec.(stopSignal); ok {
-				err = s.err
-			} else {
-				err = &RuntimeError{Msg: fmt.Sprintf("internal fault in kernel: %v", rec)}
-			}
-		}
-	}()
+	defer laneRecover(&err)
 	b.workerOf = nil
 	if W > 1 {
 		b.workerOf = b.workerBuf[:]
