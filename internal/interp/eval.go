@@ -21,7 +21,7 @@ func (c *execCtx) eval(e ast.Expr) (mem.Value, error) {
 		if err != nil {
 			return mem.Value{}, err
 		}
-		c.maybeYield()
+		c.maybeYield(buf)
 		v, err := buf.Load(idx)
 		if err != nil {
 			return mem.Value{}, errf(x, "%v", err)
@@ -65,13 +65,15 @@ func (c *execCtx) evalIdent(x *ast.Ident) (mem.Value, error) {
 	}
 	if v, ok := c.env.Lookup(x.Name); ok {
 		if v.IsArray() {
-			// Arrays decay to a pointer to their first element.
+			// Arrays decay to a pointer to their first element, which
+			// any lane the pointer reaches can follow.
+			v.Buf.Escape()
 			return mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias}), nil
 		}
 		if err := c.checkSpace(v, x); err != nil {
 			return mem.Value{}, err
 		}
-		c.maybeYield()
+		c.maybeYield(v.Buf)
 		val, err := v.Buf.Load(0)
 		if err != nil {
 			return mem.Value{}, errf(x, "%v", err)
@@ -174,6 +176,7 @@ func (c *execCtx) evalUnary(x *ast.UnaryExpr) (mem.Value, error) {
 		if err != nil {
 			return mem.Value{}, err
 		}
+		buf.Escape()
 		return mem.PtrVal(mem.Ptr{Buf: buf, Off: idx}), nil
 	}
 	v, err := c.eval(x.X)
@@ -194,7 +197,7 @@ func (c *execCtx) evalUnary(x *ast.UnaryExpr) (mem.Value, error) {
 		if err := c.checkDeref(v.P.Buf, x); err != nil {
 			return mem.Value{}, err
 		}
-		c.maybeYield()
+		c.maybeYield(v.P.Buf)
 		out, err := v.P.Buf.Load(v.P.Off)
 		if err != nil {
 			return mem.Value{}, errf(x, "%v", err)

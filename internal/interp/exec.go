@@ -280,6 +280,9 @@ func (c *execCtx) declare(x *ast.DeclStmt) error {
 		total *= n
 	}
 	v.Buf = mem.NewBuffer(kind, total, c.space(), x.Name)
+	if k := c.kernel; k != nil {
+		v.Buf.Owner.Store(k.group) // kernel code's locals belong to the lane's group
+	}
 	if x.Init != nil {
 		iv, err := c.eval(x.Init)
 		if err != nil {
@@ -309,7 +312,7 @@ func (c *execCtx) assignTo(lhs ast.Expr, op string, rhs mem.Value, at ast.Node) 
 		return err
 	}
 	if op != "=" {
-		c.maybeYield()
+		c.maybeYield(buf)
 		old, err := buf.Load(idx)
 		if err != nil {
 			return errf(at, "%v", err)
@@ -320,7 +323,7 @@ func (c *execCtx) assignTo(lhs ast.Expr, op string, rhs mem.Value, at ast.Node) 
 			return err
 		}
 	}
-	c.maybeYield()
+	c.maybeYield(buf)
 	if c.raceTracked(buf) {
 		old, _ := buf.Load(idx) // pre-store value, for the changed-bits filter
 		c.noteWrite(buf, idx, ast.LineOf(at), old, rhs)
@@ -477,12 +480,12 @@ func (c *execCtx) checkSpaceAt(v *VarInfo, line int) error {
 	return nil
 }
 
-// maybeYield injects scheduler yield points inside kernels so racing gangs
-// interleave; the per-lane xorshift keeps runs with different seeds from
-// interleaving identically.
-func (c *execCtx) maybeYield() {
+// maybeYield is a scheduler yield point inside kernels, at an access to b,
+// so racing gangs interleave; the per-lane xorshift keeps runs with
+// different seeds from interleaving identically (kernelState.draw).
+func (c *execCtx) maybeYield(b *mem.Buffer) {
 	if k := c.kernel; k != nil {
-		k.maybeYield()
+		k.maybeYield(b)
 	}
 }
 
@@ -490,7 +493,9 @@ func (c *execCtx) maybeYield() {
 // into the shared budget counter so concurrent gangs do not serialize on
 // one atomic; the host goroutine batches for the same reason (one atomic
 // add per statement is measurable on the suite profile). Budget and stop
-// checks still run every 64 charges, plenty for hang detection.
+// checks still run every 64 charges, plenty for hang detection. A kernel
+// lane starts with nothing pending and flushes its remainder as it ends
+// (Interp.flushLane); Run folds the host's remainder in.
 func (c *execCtx) tick() {
 	if k := c.kernel; k != nil {
 		k.ops++

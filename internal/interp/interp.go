@@ -333,6 +333,17 @@ func (in *Interp) step(n int64) {
 	}
 }
 
+// flushLane charges the ops a kernel lane has counted but not yet flushed
+// (tick flushes in chunks of 64). A lane calls it as it ends, inside its
+// laneRecover, so a budget stop it raises becomes the lane's error.
+func (in *Interp) flushLane(k *kernelState) {
+	if k.pend > 0 {
+		p := k.pend
+		k.pend = 0
+		in.step(p)
+	}
+}
+
 // noteFallback records one nest execution that declined lane batching.
 func (in *Interp) noteFallback(reason string) {
 	in.spmdMu.Lock()

@@ -237,9 +237,9 @@ func (c *execCtx) execLoop(p *ast.PragmaStmt, plan *compiler.LoopPlan) error {
 		}
 		maxOps, err := runLanes(k.gangs, func(g int) (int64, error) {
 			k2 := *k
+			k2.newLane(k.gangs > 1)
 			k2.gang = g
 			k2.kernelsMode = false
-			k2.ops = 0
 			k2.rng ^= uint64(g+1) * 0x94d049bb133111eb
 			if c.in.rc != nil {
 				k2.raceGang = c.in.rc.id()
@@ -247,6 +247,9 @@ func (c *execCtx) execLoop(p *ast.PragmaStmt, plan *compiler.LoopPlan) error {
 			cc := *c
 			cc.kernel = &k2
 			err := cc.runLoopLanes(p, plan, loops, body, true, hasWorker)
+			if err == nil {
+				c.in.flushLane(&k2)
+			}
 			return k2.ops, err
 		})
 		if c.in.rc != nil {
@@ -347,18 +350,20 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 	worker := func(wi int) (int64, error) {
 		w := int64(wi)
 		lk := *k
+		lk.newLane(W > 1)
 		lk.worker = wi
-		lk.ops = 0
 		lk.rng ^= uint64(w+1) * 0xd6e8feb86659fd93
 		// The worker environment carries the reduction accumulators,
 		// initialized to the operator identity; its vector lanes all
 		// combine into them (lanes run sequentially within the worker, so
-		// no synchronization is needed).
+		// no synchronization is needed). They, the vector lanes' private
+		// copies and the induction variables belong to the worker's group.
 		wenv := NewEnv(c.env)
 		laneReds := make([]*VarInfo, len(reds))
 		for i, rv := range reds {
 			pv := makePrivate(rv.host, nil, 0)
 			_ = pv.Buf.Store(0, reductionIdentity(rv.op, rv.host.Kind))
+			pv.Buf.Owner.Store(lk.group)
 			laneReds[i] = pv
 			wenv.Bind(pv)
 		}
@@ -381,11 +386,14 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 			l.ctx.raceInv = raceInv
 			l.ctx.raceSub = w*V + v + 1 // worker×vector sub-lane, nonzero
 			for pi, tmpl := range privTemplates {
-				l.ctx.env.Bind(makePrivate(tmpl, nil, int64(lk.rng)^(v*31+int64(pi))))
+				pv := makePrivate(tmpl, nil, int64(lk.rng)^(v*31+int64(pi)))
+				pv.Buf.Owner.Store(lk.group)
+				l.ctx.env.Bind(pv)
 			}
 			l.ivs = make([]*VarInfo, len(loops))
 			for i, d := range loops {
 				iv := newScalar(d.varName, mem.KInt, mem.Device)
+				iv.Buf.Owner.Store(lk.group)
 				l.ivs[i] = iv
 				l.ctx.env.Bind(iv)
 			}
@@ -436,6 +444,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 				return 0, err
 			}
 		}
+		in.flushLane(&lk)
 		// Publish partials for the combine phase.
 		vals := make([]mem.Value, len(laneReds))
 		for i, pv := range laneReds {

@@ -17,22 +17,62 @@ type kernelState struct {
 	worker, workers int
 	vlen            int
 	kernelsMode     bool
-	rng             uint64
-	ops             int64
-	pend            int64 // ops not yet charged to the shared budget
+	// banked records a yield drawn at memory the lane's group owns and
+	// not yet taken; see draw.
+	banked bool
+	lane   mem.Lane // the group this lane starts, if it starts one
+	rng    uint64
+	ops    int64
+	pend   int64 // ops not yet charged to the shared budget
+	// group is the lane group the lane belongs to, and the owner of the
+	// memory it creates. A lane on a goroutine of its own starts a group,
+	// pointing group at its own lane field; a lane run inline on its
+	// parent's goroutine keeps the parent's.
+	group *mem.Lane
 	// raceGang is the gang instance's unique id under -race-check; zero
 	// when the tracker is off. Gang instances of one launch race freely.
 	raceGang int64
 }
 
-// maybeYield injects a scheduler yield with probability 1/8, driven by a
-// per-lane xorshift stream, so racing gangs interleave differently from run
-// to run.
-func (k *kernelState) maybeYield() {
-	k.rng = k.rng*6364136223846793005 + 1442695040888963407
-	if (k.rng>>33)&7 == 0 {
+// newLane readies k, a copy of its parent's state, as a new lane: nothing
+// banked, no ops counted, and its own group when it runs concurrently
+// with its siblings.
+func (k *kernelState) newLane(concurrent bool) {
+	k.banked = false
+	k.ops, k.pend = 0, 0
+	if concurrent {
+		k.group = &k.lane
+	}
+}
+
+// maybeYield is a scheduler yield point at an access to b: it calls
+// runtime.Gosched when draw says to, so racing lanes interleave
+// differently from run to run.
+func (k *kernelState) maybeYield(b *mem.Buffer) {
+	if k.draw(b) {
 		runtime.Gosched()
 	}
+}
+
+// draw advances the lane's xorshift stream, one step per access, and
+// reports whether the lane should yield before accessing b. A draw hits
+// with probability 1/8. A hit at memory the lane's group owns is banked,
+// not taken: no lane that can run meanwhile can reach that memory, so a
+// switch there shows nothing another lane can see. The lane yields at its
+// next access to memory other lanes can reach, once, if a hit is banked or
+// drawn there. So between two such accesses with m owned accesses in
+// between, a switch happens with probability 1 − (7/8)^(m+1), as when every
+// hit yielded.
+func (k *kernelState) draw(b *mem.Buffer) bool {
+	k.rng = k.rng*6364136223846793005 + 1442695040888963407
+	hit := (k.rng>>33)&7 == 0
+	if b.Owner.Load() == k.group {
+		k.banked = k.banked || hit
+		return false
+	}
+	hit = hit || k.banked
+	k.banked = false
+	return hit
 }
 
 // execPragma executes a directive statement in the current context.
@@ -466,9 +506,10 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 		}
 		regionEnv := rd.buildEnv()
 
-		// Per-gang private/firstprivate/reduction copies. The SharePrivates
-		// miscompilation hands every gang the same copy, racing exactly as
-		// the private-clause cross test expects a broken compiler to.
+		// Per-gang private/firstprivate/reduction copies, owned by their
+		// gang's lane group. The SharePrivates miscompilation hands every
+		// gang the same copy, owned by none, racing exactly as the
+		// private-clause cross test expects a broken compiler to.
 		var shared []*VarInfo
 		if r.SharePrivates {
 			for _, spec := range privs {
@@ -503,20 +544,25 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 			launchGangs = 1
 		}
 		gangFn := func(g int) (int64, error) {
-			genv := NewEnv(regionEnv)
-			for _, pv := range gangPriv[g] {
-				genv.Bind(pv)
-			}
-			for _, pv := range gangRed[g] {
-				genv.Bind(pv)
-			}
 			k := &kernelState{
 				gang: g, gangs: gangs, workers: workers, vlen: vlen,
 				kernelsMode: kernelsMode,
 				rng:         uint64(seed)*0x9e3779b97f4a7c15 + uint64(g+1)*0xbf58476d1ce4e5b9,
 			}
+			k.group = &k.lane
 			if in.rc != nil {
 				k.raceGang = in.rc.id()
+			}
+			genv := NewEnv(regionEnv)
+			for i, pv := range gangPriv[g] {
+				if i >= len(shared) {
+					pv.Buf.Owner.Store(k.group)
+				}
+				genv.Bind(pv)
+			}
+			for _, pv := range gangRed[g] {
+				pv.Buf.Owner.Store(k.group)
+				genv.Bind(pv)
 			}
 			kc := &execCtx{in: in, env: genv, kernel: k}
 			var err error
@@ -524,6 +570,9 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 				err = kc.execLoop(p, combinedPlan)
 			} else {
 				_, err = kc.exec(body)
+			}
+			if err == nil {
+				in.flushLane(k)
 			}
 			return k.ops, err
 		}

@@ -15,8 +15,9 @@ package interp
 // ascending lane order), and identical per-worker op accounting — the
 // batch charges each statement once per lane into the same
 // worker-attributed counters, flushing the shared budget in the same
-// 64-op chunks. The in-kernel yield scheduler is skipped: batched nests
-// are proven lane-independent, so interleaving is unobservable.
+// 64-op chunks and each worker's remainder at the end. The in-kernel
+// yield scheduler is skipped: batched nests are proven lane-independent,
+// so interleaving is unobservable.
 
 import (
 	"sync"
@@ -157,10 +158,7 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 	b.loads = resized(b.loads, len(bp.OuterNames))
 	b.targs = resized(b.targs, len(bp.OuterNames))
 	b.opsW = resized(b.opsW, int(W))
-	b.pendW = resized(b.pendW, int(W))
-	for w := range b.pendW {
-		b.pendW[w] = k.pend // each goroutine worker copies the gang's residual
-	}
+	b.pendW = resized(b.pendW, int(W)) // each worker lane starts from zero
 	// The accumulators escape through partials, so they are not pooled.
 	b.redAcc = make([][]mem.Value, W)
 	for w := range b.redAcc {
@@ -209,6 +207,12 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 			maxOps = b.opsW[w]
 		}
 		partials[w] = b.redAcc[w]
+		if p := b.pendW[w]; p > 0 {
+			// The worker's remainder, flushed as a worker lane's is when
+			// it ends (Interp.flushLane).
+			b.pendW[w] = 0
+			c.in.step(p)
+		}
 	}
 	k.ops += maxOps
 	return nil
@@ -398,7 +402,11 @@ func (b *batchExec) run() error {
 				name := b.bp.OuterNames[ins.B]
 				if v, ok := b.c.env.Lookup(name); ok {
 					if v.IsArray() {
+						// The decayed pointer escapes, as in evalIdent;
+						// every runBatch resolves its slots afresh, so
+						// this runs before any cached use.
 						*lc = vmLoad{state: vmArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
+						v.Buf.Escape()
 						b.setU(ins.A, lc.val)
 						pc++
 						continue

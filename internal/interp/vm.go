@@ -129,7 +129,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				if err := c.checkSpaceAt(lc.v, int(ins.Line)); err != nil {
 					return ctlNone, err
 				}
-				c.maybeYield()
+				c.maybeYield(lc.v.Buf)
 				lc.v.Buf.LoadWordInto(lc.w, &regs[ins.A])
 				break
 			}
@@ -144,7 +144,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, err
 			}
-			c.maybeYield()
+			c.maybeYield(v.Buf)
 			if w := v.Buf.Word0(); w != nil {
 				v.Buf.StoreWord(w, regs[ins.B])
 				break
@@ -158,13 +158,13 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, err
 			}
-			c.maybeYield()
+			c.maybeYield(v.Buf)
 			if w := v.Buf.Word0(); w != nil {
 				nv, err := rt.BinOp(ast.OpKind(ins.D), v.Buf.LoadWord(w), regs[ins.B])
 				if err != nil {
 					return ctlNone, vmErrf(ins.Line, "%v", err)
 				}
-				c.maybeYield()
+				c.maybeYield(v.Buf)
 				v.Buf.StoreWord(w, nv)
 				break
 			}
@@ -176,7 +176,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
 			}
-			c.maybeYield()
+			c.maybeYield(v.Buf)
 			if err := v.Buf.Store(0, nv); err != nil {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
 			}
@@ -186,7 +186,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, err
 			}
-			c.maybeYield()
+			c.maybeYield(buf)
 			v, err := buf.Load(off)
 			if err != nil {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
@@ -198,7 +198,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, err
 			}
-			c.maybeYield()
+			c.maybeYield(buf)
 			if err := buf.Store(off, regs[ins.D]); err != nil {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
 			}
@@ -208,7 +208,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, err
 			}
-			c.maybeYield()
+			c.maybeYield(buf)
 			old, err := buf.Load(off)
 			if err != nil {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
@@ -217,7 +217,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
 			}
-			c.maybeYield()
+			c.maybeYield(buf)
 			if err := buf.Store(off, nv); err != nil {
 				return ctlNone, vmErrf(ins.Line, "%v", err)
 			}
@@ -384,7 +384,10 @@ func (c *execCtx) vmLoadVar(f *vmFrame, ins *bytecode.Ins) (mem.Value, error) {
 	switch lc.state {
 	case vmScalar:
 		// Resolved: fall through to the load below.
-	case vmArray, vmValue:
+	case vmArray:
+		lc.v.Buf.Escape() // the decayed pointer escapes, as in evalIdent
+		return lc.val, nil
+	case vmValue:
 		return lc.val, nil
 	default:
 		name := f.proc.SlotNames[ins.B]
@@ -396,6 +399,7 @@ func (c *execCtx) vmLoadVar(f *vmFrame, ins *bytecode.Ins) (mem.Value, error) {
 		if v, ok := c.env.Lookup(name); ok {
 			if v.IsArray() {
 				*lc = vmLoad{state: vmArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
+				v.Buf.Escape()
 				return lc.val, nil
 			}
 			*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.Word0()}
@@ -411,7 +415,7 @@ func (c *execCtx) vmLoadVar(f *vmFrame, ins *bytecode.Ins) (mem.Value, error) {
 	if err := c.checkSpaceAt(v, int(ins.Line)); err != nil {
 		return mem.Value{}, err
 	}
-	c.maybeYield()
+	c.maybeYield(v.Buf)
 	val, err := v.Buf.Load(0)
 	if err != nil {
 		return mem.Value{}, vmErrf(ins.Line, "%v", err)

@@ -199,8 +199,11 @@ var bufSeq atomic.Int64
 
 // lockStripes is the number of lock stripes per buffer; element i is
 // guarded by stripe i % lockStripes, so concurrent gangs touching different
-// elements rarely contend.
-const lockStripes = 8
+// elements rarely contend. Only boxed buffers lock, and the templates
+// declare no pointer or string arrays, so more stripes would buy nothing
+// and grow every Buffer: with four, a Buffer is 120 bytes and allocates
+// from Go's 128-byte size class.
+const lockStripes = 4
 
 // Buffer is a fixed-length typed array in one memory space. Numeric
 // buffers (KInt, KF32, KF64 — every array and scalar the test templates
@@ -223,6 +226,25 @@ type Buffer struct {
 
 	locks [lockStripes]sync.Mutex
 	data  []Value
+
+	// Owner is the lane group that alone can reach the buffer, or nil when
+	// other lanes may. The interpreter sets it where a lane creates the
+	// buffer and clears it for good (Escape) once an address is taken;
+	// kernel lanes skip scheduler yields at memory their own group owns.
+	Owner atomic.Pointer[Lane]
+}
+
+// Lane is the identity of a lane group: kernel lanes that never run
+// concurrently with each other. Only its address is used, so it has a
+// nonzero size to keep every Lane's address distinct.
+type Lane struct{ _ byte }
+
+// Escape clears the buffer's owner: a pointer to it now exists, and any
+// lane may reach it through that pointer.
+func (b *Buffer) Escape() {
+	if b.Owner.Load() != nil {
+		b.Owner.Store(nil)
+	}
 }
 
 // unboxed reports whether elem uses the word representation.

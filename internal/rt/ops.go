@@ -23,15 +23,8 @@ func BinOp(k ast.OpKind, l, r mem.Value) (mem.Value, error) {
 	switch k {
 	case ast.OpPow: // Fortran power operator
 		if bothInt {
-			base, exp := l.I, r.I
-			if exp < 0 {
-				return mem.Int(0), nil
-			}
-			out := int64(1)
-			for ; exp > 0; exp-- {
-				out *= base
-			}
-			return mem.Int(out), nil
+			v, err := intPow(l.I, r.I)
+			return mem.Int(v), err
 		}
 		f := math.Pow(l.AsFloat(), r.AsFloat())
 		if l.K == mem.KF64 || r.K == mem.KF64 {
@@ -138,6 +131,36 @@ func BinOp(k ast.OpKind, l, r mem.Value) (mem.Value, error) {
 		return mem.Bool(l.Truth() || r.Truth()), nil
 	}
 	return mem.Value{}, fmt.Errorf("unsupported operator %q", k.String())
+}
+
+// intPow is Fortran integer exponentiation, base**exp. It squares, in at
+// most 64 steps, and wraps exactly as exp repeated multiplications would.
+// A negative exponent gives the truncated quotient 1/base**−exp: 1 for
+// base 1, ±1 by parity for base −1, a division by zero for base 0 and 0
+// for any other base.
+func intPow(base, exp int64) (int64, error) {
+	if exp < 0 {
+		switch base {
+		case 1:
+			return 1, nil
+		case -1:
+			if exp&1 == 0 {
+				return 1, nil
+			}
+			return -1, nil
+		case 0:
+			return 0, fmt.Errorf("integer division by zero")
+		}
+		return 0, nil
+	}
+	out := int64(1)
+	for ; exp > 0; exp >>= 1 {
+		if exp&1 == 1 {
+			out *= base
+		}
+		base *= base
+	}
+	return out, nil
 }
 
 // PointerOp handles pointer arithmetic and comparison.

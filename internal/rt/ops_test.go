@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"accv/internal/ast"
 	"accv/internal/mem"
@@ -66,6 +67,12 @@ func TestBinOp(t *testing.T) {
 		{"int pow zero exponent", ast.OpPow, i(-5), i(0), i(1), ""},
 		{"int pow odd negative base", ast.OpPow, i(-2), i(3), i(-8), ""},
 		{"int pow negative exponent", ast.OpPow, i(2), i(-1), i(0), ""},
+		{"int pow one to a negative exponent", ast.OpPow, i(1), i(-1), i(1), ""},
+		{"int pow minus one to an odd negative exponent", ast.OpPow, i(-1), i(-1), i(-1), ""},
+		{"int pow minus one to an even negative exponent", ast.OpPow, i(-1), i(-2), i(1), ""},
+		{"int pow zero to a negative exponent", ast.OpPow, i(0), i(-1), mem.Value{}, "integer division by zero"},
+		{"int pow wraps as repeated multiplication", ast.OpPow, i(3), i(40), i(repeatedMul(3, 40)), ""},
+		{"int pow huge exponent", ast.OpPow, i(2), i(2000000000), i(0), ""},
 		{"f64 pow negative exponent", ast.OpPow, f64(2), i(-1), f64(0.5), ""},
 		{"f32 pow negative exponent", ast.OpPow, f32(2), i(-2), f32(0.25), ""},
 		{"mixed pow is f64", ast.OpPow, f32(2), f64(0.5), f64(math.Sqrt2), ""},
@@ -100,6 +107,15 @@ func TestBinOp(t *testing.T) {
 		if err != nil || !same(got, tc.want) {
 			t.Errorf("%s: %v %s %v = %+v, %v; want %+v", tc.name, tc.l, tc.k, tc.r, got, err, tc.want)
 		}
+	}
+	// Integer ** squares: one multiplication per unit of exponent took
+	// seconds here, and no op budget or deadline can stop an operator.
+	start := time.Now()
+	if _, err := rt.BinOp(ast.OpPow, i(2), i(2000000000)); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("2**2000000000 took %v", d)
 	}
 }
 
@@ -180,4 +196,14 @@ func TestEvalLit(t *testing.T) {
 			t.Errorf("%s: got %+v, %v; want %+v (ok=%v)", tc.name, got, err, tc.want, tc.ok)
 		}
 	}
+}
+
+// repeatedMul is base**exp the slow way, exp multiplications wrapping at
+// 64 bits.
+func repeatedMul(base, exp int64) int64 {
+	out := int64(1)
+	for ; exp > 0; exp-- {
+		out *= base
+	}
+	return out
 }
