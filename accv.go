@@ -79,7 +79,7 @@ const (
 	VetEnforce = core.VetEnforce
 	// VetWarnOnly records findings without failing tests.
 	VetWarnOnly = core.VetWarnOnly
-	// VetOff disables the analysis phase entirely.
+	// VetOff ignores findings: none is recorded and none fails a test.
 	VetOff = core.VetOff
 )
 
@@ -281,7 +281,7 @@ func CompileAndRunContext(ctx context.Context, src string, lang Language, tc Com
 // name, metric name, label, and unit — is docs/OBSERVABILITY.md.
 type (
 	// Observer bundles a span tracer and a metrics registry; thread one
-	// through Suite.Observe or Harness.Obs to record a run.
+	// through WithObs or Harness.Obs to record a run.
 	Observer = obs.Observer
 	// MetricsSnapshot is a point-in-time copy of every metric series
 	// (the JSON export schema).

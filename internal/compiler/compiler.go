@@ -62,32 +62,11 @@ func (p WorkerNoGangPolicy) String() string {
 	return "accept"
 }
 
-// VetMode controls the accvet static-analysis phase of compilation.
-type VetMode int
-
-const (
-	// VetOn runs the analyzers and attaches findings to the Executable
-	// (the default). Findings never fail compilation; enforcement policy
-	// belongs to the harness.
-	VetOn VetMode = iota
-	// VetOff skips analysis entirely; Executable.Findings stays nil.
-	VetOff
-)
-
-// String names the vet mode.
-func (m VetMode) String() string {
-	if m == VetOff {
-		return "off"
-	}
-	return "on"
-}
-
 // Options configures a compilation.
 type Options struct {
 	Spec         SpecVersion
 	Mapping      device.Mapping
 	WorkerNoGang WorkerNoGangPolicy
-	Vet          VetMode
 	Name         string // compiler identity, for diagnostics
 	Version      string
 }
@@ -290,9 +269,9 @@ type Executable struct {
 	Loops   map[*ast.PragmaStmt]*LoopPlan
 	Hooks   Hooks
 	Diags   []Diagnostic
-	// Findings holds accvet static-analysis results for the program (nil
-	// when Opts.Vet is VetOff). They are advisory metadata: the harness
-	// decides whether error-severity findings fail a test.
+	// Findings holds accvet static-analysis results for the program. They
+	// are advisory metadata: the harness's vet policy decides whether
+	// error-severity findings fail a test, or are ignored.
 	Findings []analysis.Finding
 	// LaneSafety is the per-nest cross-lane safety oracle: one verdict per
 	// partitioned loop nest plus the gang-redundant remainders of
@@ -333,21 +312,10 @@ type Toolchain interface {
 	DeviceConfig() device.Config
 }
 
-// VetConfigurable is implemented by toolchains whose accvet analysis
-// phase can be toggled after construction; the harness uses it to keep
-// analysis entirely off the compile path when the run's vet policy is
-// off.
-type VetConfigurable interface {
-	SetVet(VetMode)
-}
-
 // Reference is the specification-faithful compiler.
 type Reference struct {
 	Opts Options
 }
-
-// SetVet implements VetConfigurable.
-func (r *Reference) SetVet(m VetMode) { r.Opts.Vet = m }
 
 // NewReference builds a reference compiler with defaults.
 func NewReference() *Reference {
@@ -383,12 +351,7 @@ func Compile(prog *ast.Program, opts Options) (*Executable, []Diagnostic, error)
 	if err != nil {
 		return nil, diags, err
 	}
-	if opts.Vet == VetOn {
-		rep := analysis.Analyze(prog, analysis.Options{})
-		exe.Findings = rep.Findings
-	}
-	// The lane-safety oracle is not gated on Vet: the VM's lane batching
-	// keys off it regardless of whether accvet findings were requested.
+	exe.Findings = analysis.Analyze(prog, analysis.Options{}).Findings
 	exe.LaneSafety = analysis.AnalyzeLaneSafety(prog)
 	exe.Code = bytecode.LowerProgram(prog)
 	lowerBatches(exe)

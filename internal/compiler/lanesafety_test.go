@@ -11,7 +11,7 @@ import (
 // of cross-lane conflicts. This pins the contract end to end: Compile
 // attaches one LaneSafety entry per partitioned nest, a disjoint
 // element-per-lane nest is proven independent, a shared read-modify-write
-// is proven dependent, and VetOff compilations carry no oracle at all.
+// is proven dependent, and every compilation carries the oracle.
 
 const laneSafetySrc = `
 int acc_test() {
@@ -73,17 +73,18 @@ func TestExecutableLaneSafety(t *testing.T) {
 }
 
 // TestLaneSafetyVetOff: the oracle is computed whatever the vet policy —
-// the SPMD engine keys batching off it, and engine selection must not
-// change meaning with -vet off. Only the findings are gated by the policy.
+// the VM keys batching off it, and engine selection must not change
+// meaning with -vet off. The policy lives in the harness, so every
+// compilation carries the oracle and batch-lowers the proven nest.
 func TestLaneSafetyVetOff(t *testing.T) {
-	exe, diags, err := compileC(t, laneSafetySrc, Options{Vet: VetOff})
+	exe, diags, err := compileC(t, laneSafetySrc, Options{})
 	if err != nil {
 		t.Fatalf("compile: %v (diags %v)", err, diags)
 	}
 	if len(exe.LaneSafety) == 0 {
-		t.Fatal("VetOff compilation has no LaneSafety; the SPMD oracle must not depend on the vet policy")
+		t.Fatal("compilation has no LaneSafety; the batching oracle must not depend on the vet policy")
 	}
 	if len(exe.Batch) == 0 {
-		t.Fatal("VetOff compilation batch-lowered nothing; the proven nest should batch")
+		t.Fatal("compilation batch-lowered nothing; the proven nest should batch")
 	}
 }

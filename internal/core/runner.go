@@ -113,9 +113,8 @@ const (
 	// VetWarnOnly records findings on the TestResult without ever
 	// failing a test over them.
 	VetWarnOnly
-	// VetOff ignores findings and, when the toolchain supports it
-	// (compiler.VetConfigurable), turns the analysis phase off entirely
-	// so compilation pays nothing for it.
+	// VetOff ignores findings: none is recorded on the result and none
+	// fails a test. The compiler still runs the analyzers.
 	VetOff
 )
 
@@ -182,8 +181,9 @@ type Config struct {
 	// misses are surfaced as accv_compile_cache_{hits,misses}_total when
 	// Obs is set.
 	Cache *compiler.Cache
-	// Verbose streams per-test progress through Progress. Callbacks run
-	// concurrently from the worker goroutines; the callee synchronizes.
+	// Progress, when non-nil, receives each test's result as it finishes.
+	// Callbacks run concurrently from the worker goroutines; the callee
+	// synchronizes.
 	Progress func(res TestResult)
 	// Obs receives spans and metrics per the telemetry contract
 	// (docs/OBSERVABILITY.md). Nil — the default — disables every hook at
@@ -227,13 +227,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Devices == 0 {
 		c.Devices = 2
-	}
-	if c.Vet == VetOff {
-		// Keep the analysis phase entirely off the compile path, not just
-		// ignored, when the toolchain lets us reach its options.
-		if v, ok := c.Toolchain.(compiler.VetConfigurable); ok {
-			v.SetVet(compiler.VetOff)
-		}
 	}
 	return c
 }
@@ -610,8 +603,10 @@ func runTest(ctx context.Context, cfg Config, tpl *Template, parent *obs.Span, w
 func (cfg Config) compileSource(lang ast.Lang, src, name, variant string, testSpan *obs.Span) (*compiler.Executable, []compiler.Diagnostic, error) {
 	var key compiler.CacheKey
 	if cfg.Cache != nil {
+		// No vet policy in the key: every compile runs the analyzers, and
+		// the policy only decides what a run does with the findings.
 		key = compiler.NewCacheKey(src, lang.String(),
-			cfg.Toolchain.Name(), cfg.Toolchain.Version(), cfg.Vet.String())
+			cfg.Toolchain.Name(), cfg.Toolchain.Version())
 		if exe, ok := cfg.Cache.Get(key); ok {
 			if cfg.Obs != nil {
 				cfg.Obs.Add("accv_compile_cache_hits_total", 1)

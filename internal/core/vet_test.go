@@ -151,39 +151,40 @@ func TestVetWarnOnlyRecordsWithoutFailing(t *testing.T) {
 	}
 }
 
-// TestVetOffSkipsAnalysis asserts the off policy keeps analysis off the
-// compile path entirely: the toolchain's vet mode is switched off through
-// VetConfigurable, so the executable carries no findings at all.
+// TestVetOffSkipsAnalysis asserts the off policy ignores findings: the
+// hazardous test is not failed over them and none is recorded.
 func TestVetOffSkipsAnalysis(t *testing.T) {
-	ref := compiler.NewReference()
-	cfg := Config{
-		Toolchain: ref, Iterations: 1,
-		Timeout: 2 * time.Second, Vet: VetOff,
-	}
-	res := RunTest(cfg, hazardousTemplate())
+	res := RunTest(vetCfg(VetOff, nil), hazardousTemplate())
 	if res.Outcome == VetFail {
 		t.Fatalf("vet-off policy failed the test: %q", res.Detail)
 	}
 	if res.Findings != nil {
 		t.Errorf("findings recorded under VetOff: %v", res.Findings)
 	}
-	if ref.Opts.Vet != compiler.VetOff {
-		t.Error("VetOff policy did not propagate to the toolchain")
-	}
-	functional, _, _, err := hazardousTemplate().Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := parse(ast.LangC, functional)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exe, _, err := ref.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exe.Findings != nil {
-		t.Errorf("compiler attached findings with vet off: %v", exe.Findings)
+}
+
+// TestVetOffLeavesTheToolchainEnforcing runs the hazardous test under the
+// off policy and then under the enforcing one on the same toolchain: the
+// off run must not turn analysis off for the runs after it. The second
+// pair shares a compile cache too, so the enforcing run reuses the
+// executable the off run compiled and must still find the hazard.
+func TestVetOffLeavesTheToolchainEnforcing(t *testing.T) {
+	for _, cache := range []*compiler.Cache{nil, compiler.NewCache()} {
+		ref := compiler.NewReference()
+		off, enforce := vetCfg(VetOff, nil), vetCfg(VetEnforce, nil)
+		off.Toolchain, enforce.Toolchain = ref, ref
+		off.Cache, enforce.Cache = cache, cache
+		if res := RunTest(off, hazardousTemplate()); res.Outcome == VetFail {
+			t.Fatalf("vet-off policy failed the test: %q", res.Detail)
+		}
+		if res := RunTest(enforce, hazardousTemplate()); res.Outcome != VetFail {
+			t.Fatalf("enforcing run after a vet-off run on the same toolchain (cache %v): outcome %v, want VetFail (detail %q)", cache != nil, res.Outcome, res.Detail)
+		}
+		if cache != nil {
+			if hits, _ := cache.Stats(); hits != 1 {
+				t.Errorf("enforcing run compiled again: %d cache hits, want 1", hits)
+			}
+		}
 	}
 }
 

@@ -57,34 +57,22 @@ func (c *execCtx) eval(e ast.Expr) (mem.Value, error) {
 	return mem.Value{}, errf(e, "unsupported expression %T", e)
 }
 
-// evalIdent resolves a name: host_data device views, then variables, then
-// predefined runtime constants.
+// evalIdent resolves a name: host_data device views, then the resolution
+// every engine shares (variables, arrays decaying, runtime constants).
 func (c *execCtx) evalIdent(x *ast.Ident) (mem.Value, error) {
 	if p, ok := c.env.DeviceView(x.Name); ok {
 		return mem.PtrVal(p), nil
 	}
-	if v, ok := c.env.Lookup(x.Name); ok {
-		if v.IsArray() {
-			// Arrays decay to a pointer to their first element, which
-			// any lane the pointer reaches can follow.
-			v.Buf.Escape()
-			return mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias}), nil
-		}
-		if err := c.checkSpace(v, x); err != nil {
-			return mem.Value{}, err
-		}
-		c.maybeYield(v.Buf)
-		val, err := v.Buf.Load(0)
-		if err != nil {
-			return mem.Value{}, errf(x, "%v", err)
-		}
-		c.noteRead(v.Buf, 0, ast.LineOf(x))
-		return val, nil
+	line := ast.LineOf(x)
+	var r resolution
+	if err := c.resolveLoad(&r, x.Name, line); err != nil {
+		return mem.Value{}, err
 	}
-	if v, ok := runtimeConstants[x.Name]; ok {
-		return v, nil
+	val, err := c.load(&r, line, true)
+	if err == nil && r.state == resScalar {
+		c.noteRead(r.v.Buf, 0, line)
 	}
-	return mem.Value{}, errf(x, "undeclared variable %q", x.Name)
+	return val, err
 }
 
 // evalLit produces a literal's value, via the payload memoized at parse time
@@ -194,7 +182,7 @@ func (c *execCtx) evalUnary(x *ast.UnaryExpr) (mem.Value, error) {
 		if v.K != mem.KPtr || v.P.IsNil() {
 			return mem.Value{}, errf(x, "dereference of non-pointer value")
 		}
-		if err := c.checkDeref(v.P.Buf, x); err != nil {
+		if err := c.checkDeref(v.P.Buf, ast.LineOf(x)); err != nil {
 			return mem.Value{}, err
 		}
 		c.maybeYield(v.P.Buf)

@@ -338,14 +338,12 @@ func (c *execCtx) assignTo(lhs ast.Expr, op string, rhs mem.Value, at ast.Node) 
 func (c *execCtx) lvalue(e ast.Expr) (*mem.Buffer, int, error) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		v, ok := c.env.Lookup(x.Name)
-		if !ok {
-			return nil, 0, errf(x, "undeclared variable %q", x.Name)
+		line := ast.LineOf(x)
+		v, err := c.lookupVar(x.Name, line)
+		if err != nil {
+			return nil, 0, err
 		}
-		if v.IsArray() {
-			return nil, 0, errf(x, "cannot assign to array %q without a subscript", x.Name)
-		}
-		if err := c.checkSpace(v, x); err != nil {
+		if err := c.checkScalarStore(v, line); err != nil {
 			return nil, 0, err
 		}
 		return v.Buf, 0, nil
@@ -360,7 +358,7 @@ func (c *execCtx) lvalue(e ast.Expr) (*mem.Buffer, int, error) {
 			if pv.K != mem.KPtr || pv.P.IsNil() {
 				return nil, 0, errf(x, "dereference of non-pointer value")
 			}
-			if err := c.checkDeref(pv.P.Buf, x); err != nil {
+			if err := c.checkDeref(pv.P.Buf, ast.LineOf(x)); err != nil {
 				return nil, 0, err
 			}
 			return pv.P.Buf, pv.P.Off, nil
@@ -379,6 +377,7 @@ func (c *execCtx) indexTarget(x *ast.IndexExpr) (*mem.Buffer, int, error) {
 		}
 		idx[i] = v.AsInt()
 	}
+	line := ast.LineOf(x)
 	base, ok := x.X.(*ast.Ident)
 	if !ok {
 		// Indexing an arbitrary pointer expression: (p+1)[i] etc.
@@ -389,95 +388,27 @@ func (c *execCtx) indexTarget(x *ast.IndexExpr) (*mem.Buffer, int, error) {
 		if pv.K != mem.KPtr || pv.P.IsNil() {
 			return nil, 0, errf(x, "subscript of non-pointer value")
 		}
-		if len(idx) != 1 {
-			return nil, 0, errf(x, "pointer subscript must be one-dimensional")
-		}
-		if err := c.checkDeref(pv.P.Buf, x); err != nil {
+		if err := c.checkPointee(pv.P.Buf, len(idx), line); err != nil {
 			return nil, 0, err
 		}
 		return pv.P.Buf, pv.P.Off + int(idx[0]), nil
 	}
-	v, ok := c.env.Lookup(base.Name)
-	if !ok {
-		return nil, 0, errf(x, "undeclared variable %q", base.Name)
-	}
-	if v.IsPtr && !v.IsArray() {
-		pv, err := v.Buf.Load(0)
-		if err != nil {
-			return nil, 0, errf(x, "%v", err)
-		}
-		if pv.K != mem.KPtr || pv.P.IsNil() {
-			return nil, 0, errf(x, "subscript of null pointer %q", base.Name)
-		}
-		if len(idx) != 1 {
-			return nil, 0, errf(x, "pointer subscript must be one-dimensional")
-		}
-		if err := c.checkDeref(pv.P.Buf, x); err != nil {
-			return nil, 0, err
-		}
-		return pv.P.Buf, pv.P.Off + int(idx[0]), nil
-	}
-	if err := c.checkSpace(v, x); err != nil {
+	v, err := c.lookupVar(base.Name, line)
+	if err != nil {
 		return nil, 0, err
+	}
+	buf, off, err := c.subscriptBase(v, len(idx), line)
+	if err != nil {
+		return nil, 0, err
+	}
+	if buf != nil {
+		return buf, off + int(idx[0]), nil
 	}
 	flat, err := v.FlatIndex(idx)
 	if err != nil {
 		return nil, 0, errf(x, "%v", err)
 	}
 	return v.Buf, flat - v.Bias, nil
-}
-
-// checkDeref enforces the host/device separation for pointer dereferences.
-// Host code may only touch device memory from a simulated device library
-// ("cuda*" procedures); device code may never follow host pointers.
-func (c *execCtx) checkDeref(buf *mem.Buffer, at ast.Node) error {
-	return c.checkDerefAt(buf, ast.LineOf(at))
-}
-
-// checkDerefAt is checkDeref with a pre-resolved source line (VM path).
-func (c *execCtx) checkDerefAt(buf *mem.Buffer, line int) error {
-	if buf == nil {
-		return &RuntimeError{Line: line, Msg: "dereference of null pointer"}
-	}
-	if buf.Space == mem.Device && c.kernel == nil && !c.cudaLib {
-		return &RuntimeError{Line: line, Msg: fmt.Sprintf("segmentation fault: host dereference of device pointer (%s)", buf.Name)}
-	}
-	if buf.Space == mem.Host && c.kernel != nil {
-		return &RuntimeError{Line: line, Msg: fmt.Sprintf("device dereference of host pointer (%s)", buf.Name)}
-	}
-	return nil
-}
-
-// checkSpace enforces the host/device memory separation for named accesses.
-// Simulated device-library procedures (cuda*) may touch device buffers from
-// host code — that is exactly what host_data use_device is for.
-func (c *execCtx) checkSpace(v *VarInfo, at ast.Node) error {
-	want := c.space()
-	if v.Buf.Space != want {
-		if want == mem.Device {
-			return errf(at, "compute region accesses host variable %q that has no device copy", v.Name)
-		}
-		if c.cudaLib {
-			return nil
-		}
-		return errf(at, "host code accesses device-resident variable %q", v.Name)
-	}
-	return nil
-}
-
-// checkSpaceAt is checkSpace with a pre-resolved source line (VM path).
-func (c *execCtx) checkSpaceAt(v *VarInfo, line int) error {
-	want := c.space()
-	if v.Buf.Space != want {
-		if want == mem.Device {
-			return &RuntimeError{Line: line, Msg: fmt.Sprintf("compute region accesses host variable %q that has no device copy", v.Name)}
-		}
-		if c.cudaLib {
-			return nil
-		}
-		return &RuntimeError{Line: line, Msg: fmt.Sprintf("host code accesses device-resident variable %q", v.Name)}
-	}
-	return nil
 }
 
 // maybeYield is a scheduler yield point inside kernels, at an access to b,
@@ -489,27 +420,12 @@ func (c *execCtx) maybeYield(b *mem.Buffer) {
 	}
 }
 
-// tick charges one interpreted operation. Kernel lanes batch their charges
-// into the shared budget counter so concurrent gangs do not serialize on
-// one atomic; the host goroutine batches for the same reason (one atomic
-// add per statement is measurable on the suite profile). Budget and stop
-// checks still run every 64 charges, plenty for hang detection. A kernel
-// lane starts with nothing pending and flushes its remainder as it ends
-// (Interp.flushLane); Run folds the host's remainder in.
+// tick charges one interpreted operation to the lane's counter, or to the
+// host's outside compute regions.
 func (c *execCtx) tick() {
+	o := &c.in.hostOps
 	if k := c.kernel; k != nil {
-		k.ops++
-		k.pend++
-		if k.pend >= 64 {
-			c.in.step(k.pend)
-			k.pend = 0
-		}
-		return
+		o = &k.ops
 	}
-	in := c.in
-	in.hostPend++
-	if in.hostPend >= 64 {
-		in.step(in.hostPend)
-		in.hostPend = 0
-	}
+	o.add(c.in, 1)
 }

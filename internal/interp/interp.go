@@ -236,8 +236,8 @@ func Run(exe *compiler.Executable, cfg RunConfig) Result {
 	}
 	// Fold the host goroutine's unflushed statement charges into the total
 	// (raw add, not step: a budget abort must not fire outside the recover).
-	in.ops.Add(in.hostPend)
-	in.hostPend = 0
+	in.ops.Add(in.hostOps.pend)
+	in.hostOps.pend = 0
 	res.Ops = in.ops.Load()
 	res.Output = out.String()
 	res.SimCycles = dev.Stats.SimCycles.Load() - cyclesBefore
@@ -300,10 +300,9 @@ type Interp struct {
 	spmdFallbacks map[string]int64
 
 	ops atomic.Int64
-	// hostPend batches the host goroutine's statement charges so host code
-	// does not pay one atomic add per statement; kernel lanes batch into
-	// their own kernelState.pend. Only the host goroutine touches it.
-	hostPend int64
+	// hostOps counts the host goroutine's statements; kernel lanes count
+	// into their own kernelState.ops. Only the host goroutine touches it.
+	hostOps opCounter
 	// stopErr, once non-nil, aborts the run at the next step check with
 	// the stored sentinel (ErrDeadline or ErrCanceled). First writer wins.
 	stopErr atomic.Pointer[error]
@@ -333,13 +332,42 @@ func (in *Interp) step(n int64) {
 	}
 }
 
-// flushLane charges the ops a kernel lane has counted but not yet flushed
-// (tick flushes in chunks of 64). A lane calls it as it ends, inside its
+// opCounter counts one goroutine's interpreted operations — the host's, a
+// kernel lane's or a batch worker's — and charges them to the run's shared
+// budget in chunks of 64, so concurrent lanes do not serialize on one
+// atomic and host code does not pay one atomic add per statement. Budget
+// and stop checks still run every 64 charges, plenty for hang detection.
+// A lane or worker flushes its remainder as it ends; Run folds the host's
+// in.
+type opCounter struct {
+	n    int64 // every op counted
+	pend int64 // ops counted but not yet charged
+}
+
+// add counts n ≤ 64 ops, charging each full chunk of 64.
+func (o *opCounter) add(in *Interp, n int64) {
+	o.n += n
+	o.pend += n
+	if o.pend >= 64 {
+		o.charge(in)
+	}
+}
+
+// charge charges the full chunk pend holds and keeps the rest. It runs
+// once per 64 ops; kept out of line, it leaves add small enough to inline
+// into the per-op paths.
+//
+//go:noinline
+func (o *opCounter) charge(in *Interp) {
+	in.step(o.pend &^ 63)
+	o.pend &= 63
+}
+
+// flush charges the remainder. A lane calls it as it ends, inside its
 // laneRecover, so a budget stop it raises becomes the lane's error.
-func (in *Interp) flushLane(k *kernelState) {
-	if k.pend > 0 {
-		p := k.pend
-		k.pend = 0
+func (o *opCounter) flush(in *Interp) {
+	if p := o.pend; p > 0 {
+		o.pend = 0
 		in.step(p)
 	}
 }

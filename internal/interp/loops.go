@@ -248,14 +248,14 @@ func (c *execCtx) execLoop(p *ast.PragmaStmt, plan *compiler.LoopPlan) error {
 			cc.kernel = &k2
 			err := cc.runLoopLanes(p, plan, loops, body, true, hasWorker)
 			if err == nil {
-				c.in.flushLane(&k2)
+				k2.ops.flush(c.in)
 			}
-			return k2.ops, err
+			return k2.ops.n, err
 		})
 		if c.in.rc != nil {
 			c.in.rc.barrier() // the fan-out joins before the walker continues
 		}
-		k.ops += maxOps
+		k.ops.n += maxOps
 		return err
 	}
 	return c.runLoopLanes(p, plan, loops, body, hasGang, hasWorker)
@@ -361,8 +361,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		wenv := NewEnv(c.env)
 		laneReds := make([]*VarInfo, len(reds))
 		for i, rv := range reds {
-			pv := makePrivate(rv.host, nil, 0)
-			_ = pv.Buf.Store(0, reductionIdentity(rv.op, rv.host.Kind))
+			pv := newAccumulator(rv.host, rv.op)
 			pv.Buf.Owner.Store(lk.group)
 			laneReds[i] = pv
 			wenv.Bind(pv)
@@ -444,7 +443,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 				return 0, err
 			}
 		}
-		in.flushLane(&lk)
+		lk.ops.flush(in)
 		// Publish partials for the combine phase.
 		vals := make([]mem.Value, len(laneReds))
 		for i, pv := range laneReds {
@@ -452,7 +451,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 			vals[i] = v
 		}
 		partials[w] = vals
-		return lk.ops, nil
+		return lk.ops.n, nil
 	}
 
 	if !batched {
@@ -461,7 +460,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		// lane, which is exactly the §II performance observation.
 		var maxOps int64
 		maxOps, err = runLanes(int(W), worker)
-		k.ops += maxOps
+		k.ops.n += maxOps
 	}
 	if err != nil {
 		return err
@@ -491,6 +490,16 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		}
 	}
 	return nil
+}
+
+// newAccumulator returns a private copy of reduction variable v whose
+// element 0 holds the identity of op: where a gang's or a worker's partial
+// starts.
+func newAccumulator(v *VarInfo, op string) *VarInfo {
+	acc := &VarInfo{Name: v.Name, Kind: v.Kind, Buf: mem.NewBuffer(v.Kind, v.Total(), mem.Device, v.Name),
+		Dims: v.Dims, Lower: v.Lower, IsPtr: v.IsPtr}
+	_ = acc.Buf.Store(0, reductionIdentity(op, v.Kind))
+	return acc
 }
 
 // reductionIdentity returns the identity element for a reduction operator.

@@ -22,8 +22,7 @@ type kernelState struct {
 	banked bool
 	lane   mem.Lane // the group this lane starts, if it starts one
 	rng    uint64
-	ops    int64
-	pend   int64 // ops not yet charged to the shared budget
+	ops    opCounter
 	// group is the lane group the lane belongs to, and the owner of the
 	// memory it creates. A lane on a goroutine of its own starts a group,
 	// pointing group at its own lane field; a lane run inline on its
@@ -39,7 +38,7 @@ type kernelState struct {
 // with its siblings.
 func (k *kernelState) newLane(concurrent bool) {
 	k.banked = false
-	k.ops, k.pend = 0, 0
+	k.ops = opCounter{}
 	if concurrent {
 		k.group = &k.lane
 	}
@@ -147,10 +146,7 @@ func (c *execCtx) resolveSection(v *VarInfo, ref directive.VarRef, line int) (of
 		rowStride *= d
 	}
 	sec := ref.Sections[0]
-	lower := 0
-	if len(v.Lower) > 0 {
-		lower = v.Lower[0]
-	}
+	lower := v.LowerBound(0)
 	lo := int64(lower)
 	if sec.Lo != nil {
 		lv, err := c.eval(sec.Lo)
@@ -192,10 +188,7 @@ func (c *execCtx) resolveSection(v *VarInfo, ref directive.VarRef, line int) (of
 				lv, err1 := c.eval(s.Lo)
 				hv, err2 := c.eval(s.Hi)
 				if err1 == nil && err2 == nil {
-					dlo := 0
-					if d < len(v.Lower) {
-						dlo = v.Lower[d]
-					}
+					dlo := v.LowerBound(d)
 					n := hv.AsInt()
 					if !s.LenIsCount {
 						n = n - lv.AsInt() + 1
@@ -332,8 +325,8 @@ func (rd *regionData) buildEnv() *Env {
 	return env
 }
 
-// bodyTruth evaluates a directive's if clause; ok is true when execution
-// should proceed on the device.
+// ifClauseTrue evaluates a directive's if clause; it is true when
+// execution should proceed on the device.
 func (c *execCtx) ifClauseTrue(r *compiler.Region) (bool, error) {
 	cl := r.Dir.Get(directive.If)
 	if cl == nil || r.DropIf {
@@ -529,11 +522,8 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 			for _, spec := range firsts {
 				gangPriv[g] = append(gangPriv[g], makePrivate(spec.v, spec.snapshot, seed+int64(g)))
 			}
-			for i, spec := range reds {
-				pv := makePrivate(spec.v, nil, 0)
-				_ = pv.Buf.Store(0, reductionIdentity(spec.op, spec.v.Kind))
-				gangRed[g] = append(gangRed[g], pv)
-				_ = i
+			for _, spec := range reds {
+				gangRed[g] = append(gangRed[g], newAccumulator(spec.v, spec.op))
 			}
 		}
 
@@ -572,9 +562,9 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 				_, err = kc.exec(body)
 			}
 			if err == nil {
-				in.flushLane(k)
+				k.ops.flush(in)
 			}
-			return k.ops, err
+			return k.ops.n, err
 		}
 
 		var maxOps int64

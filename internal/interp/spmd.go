@@ -9,14 +9,15 @@ package interp
 // declines it — so every instruction runs for every lane of the batch
 // (docs/PERFORMANCE.md, "Lane batching in the VM").
 //
-// Parity contract with the goroutine path: identical memory effects,
-// identical runtime-error messages (raised for the lowest failing lane),
-// identical reduction partials (per-worker accumulators folded in
-// ascending lane order), and identical per-worker op accounting — the
-// batch charges each statement once per lane into the same
-// worker-attributed counters, flushing the shared budget in the same
-// 64-op chunks and each worker's remainder at the end. The in-kernel
-// yield scheduler is skipped: batched nests are proven lane-independent,
+// It matches the goroutine path by sharing its rules rather than
+// mirroring them: names, subscripts and the host/device checks resolve
+// through access.go (the batch's outer slots in a slotCache, as a scalar
+// VM frame's), lane slots convert on store with mem.Value.Convert, and
+// each worker's ops count in an opCounter, charged in the same 64-op
+// chunks and flushed as the worker ends. What is the batch's own: errors
+// are raised for the lowest failing lane, reduction partials are
+// per-worker accumulators folded in ascending lane order, and no lane
+// draws a scheduler yield — batched nests are proven lane-independent,
 // so interleaving is unobservable.
 
 import (
@@ -96,15 +97,14 @@ type batchExec struct {
 	slots   [][]mem.Value
 	slotBuf []mem.Value
 
-	// Outer-slot resolution caches, mirroring the VM's per-frame caches.
-	loads []vmLoad
-	targs []*VarInfo
+	// outer resolves the outer slots, as a scalar VM frame resolves its own.
+	outer slotCache
 
 	// workerOf attributes each lane's op charges; nil when W == 1.
-	workerOf    []int32
-	workerBuf   [batchChunk]int32
-	opsW, pendW []int64
-	redAcc      [][]mem.Value
+	workerOf  []int32
+	workerBuf [batchChunk]int32
+	opsW      []opCounter
+	redAcc    [][]mem.Value
 }
 
 // resized returns s with length n and every element zero, reusing its
@@ -132,8 +132,7 @@ func (b *batchExec) scrub() {
 // release scrubs the executor and returns it to the pool.
 func (b *batchExec) release() {
 	b.scrub()
-	clear(b.loads)
-	clear(b.targs)
+	clear(b.outer.res)
 	b.c, b.bp, b.redAcc = nil, nil, nil
 	batchPool.Put(b)
 }
@@ -155,10 +154,8 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 	nSlots := len(bp.SlotKinds)
 	b.slotBuf = resized(b.slotBuf, nSlots*batchChunk)
 	b.slots = resized(b.slots, nSlots)
-	b.loads = resized(b.loads, len(bp.OuterNames))
-	b.targs = resized(b.targs, len(bp.OuterNames))
-	b.opsW = resized(b.opsW, int(W))
-	b.pendW = resized(b.pendW, int(W)) // each worker lane starts from zero
+	b.outer.reset(bp.OuterNames)
+	b.opsW = resized(b.opsW, int(W)) // each worker lane starts from zero
 	// The accumulators escape through partials, so they are not pooled.
 	b.redAcc = make([][]mem.Value, W)
 	for w := range b.redAcc {
@@ -203,43 +200,23 @@ func (c *execCtx) runBatch(bp *bytecode.BatchProc, loops []loopDesc, total, G, g
 	}
 	maxOps := int64(0)
 	for w := int64(0); w < W; w++ {
-		if b.opsW[w] > maxOps {
-			maxOps = b.opsW[w]
-		}
+		maxOps = max(maxOps, b.opsW[w].n)
 		partials[w] = b.redAcc[w]
-		if p := b.pendW[w]; p > 0 {
-			// The worker's remainder, flushed as a worker lane's is when
-			// it ends (Interp.flushLane).
-			b.pendW[w] = 0
-			c.in.step(p)
-		}
+		b.opsW[w].flush(c.in) // as a worker lane flushes when it ends
 	}
-	k.ops += maxOps
+	k.ops.n += maxOps
 	return nil
 }
 
-// tick charges one op per lane to its worker, flushing the shared budget
-// counter in the same 64-op chunks the per-lane path produces.
+// tick charges one op per lane to its worker's counter, as the per-lane
+// path charges each lane.
 func (b *batchExec) tick() {
 	if b.workerOf == nil {
-		n := int64(b.nl)
-		b.opsW[0] += n
-		p := b.pendW[0] + n
-		if p >= 64 {
-			q := p &^ 63
-			b.c.in.step(q)
-			p &= 63
-		}
-		b.pendW[0] = p
-	} else {
-		for _, w := range b.workerOf[:b.nl] {
-			b.opsW[w]++
-			b.pendW[w]++
-			if b.pendW[w] >= 64 {
-				b.c.in.step(b.pendW[w])
-				b.pendW[w] = 0
-			}
-		}
+		b.opsW[0].add(b.c.in, int64(b.nl))
+		return
+	}
+	for _, w := range b.workerOf[:b.nl] {
+		b.opsW[w].add(b.c.in, 1)
 	}
 }
 
@@ -258,118 +235,21 @@ func (b *batchExec) setU(r int32, v mem.Value) {
 	rv.uni, rv.u = true, v
 }
 
-// outerVar resolves an outer slot to its VarInfo (store-side cache).
-func (b *batchExec) outerVar(slot int32, line int32) (*VarInfo, error) {
-	if v := b.targs[slot]; v != nil {
-		return v, nil
-	}
-	name := b.bp.OuterNames[slot]
-	v, ok := b.c.env.Lookup(name)
-	if !ok {
-		return nil, vmErrf(line, "undeclared variable %q", name)
-	}
-	b.targs[slot] = v
-	return v, nil
-}
-
-// scalarTarget is outerVar plus the VM's scalar-store checks.
-func (b *batchExec) scalarTarget(slot int32, line int32) (*VarInfo, error) {
-	v, err := b.outerVar(slot, line)
-	if err != nil {
-		return nil, err
-	}
-	if v.IsArray() {
-		return nil, vmErrf(line, "cannot assign to array %q without a subscript", v.Name)
-	}
-	if err := b.c.checkSpaceAt(v, int(line)); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// convSlot converts a value to a lane slot's kind, exactly as a
-// mem.Buffer store of that element kind would.
-func convSlot(k mem.Kind, v mem.Value) mem.Value {
-	switch k {
-	case mem.KF32:
-		return mem.F32(v.AsFloat()) // always re-rounds, like Buffer.bits
-	case mem.KF64:
-		if v.K == mem.KF64 {
-			return v
-		}
-		return mem.F64(v.AsFloat())
-	default:
-		if v.K == mem.KInt {
-			return v
-		}
-		return mem.Int(v.AsInt())
-	}
-}
-
-func zeroOf(k mem.Kind) mem.Value {
-	switch k {
-	case mem.KF32:
-		return mem.F32(0)
-	case mem.KF64:
-		return mem.F64(0)
-	default:
-		return mem.Int(0)
-	}
-}
-
-// idxBase resolves an outer slot for subscripted access, mirroring
-// vmIndexTarget's per-target work: the pointer-variable indirection (the
-// pointer value is uniform inside a batched nest — stores to it batch
-// uniformly or decline) and the space check. Per-lane offsets are computed
-// by the caller.
-func (b *batchExec) idxBase(slot, idxN, line int32) (v *VarInfo, pbuf *mem.Buffer, poff int, err error) {
-	v, err = b.outerVar(slot, line)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if v.IsPtr && !v.IsArray() {
-		pv, lerr := v.Buf.Load(0)
-		if lerr != nil {
-			return nil, nil, 0, vmErrf(line, "%v", lerr)
-		}
-		if pv.K != mem.KPtr || pv.P.IsNil() {
-			return nil, nil, 0, vmErrf(line, "subscript of null pointer %q", v.Name)
-		}
-		if idxN != 1 {
-			return nil, nil, 0, vmErrf(line, "pointer subscript must be one-dimensional")
-		}
-		if err := b.c.checkDerefAt(pv.P.Buf, int(line)); err != nil {
-			return nil, nil, 0, err
-		}
-		return v, pv.P.Buf, pv.P.Off, nil
-	}
-	if err := b.c.checkSpaceAt(v, int(line)); err != nil {
-		return nil, nil, 0, err
-	}
-	if int(idxN) != len(v.Dims) {
-		return nil, nil, 0, vmErrf(line, "%s has %d dimensions, indexed with %d subscripts", v.Name, len(v.Dims), idxN)
-	}
-	return v, nil, 0, nil
-}
-
-// laneOff computes one lane's flat element offset with the VM's bounds
-// checks and error messages.
+// laneOff computes one lane's element with the shared bounds step. A
+// pointer variable's target pbuf+poff is the same for every lane: the
+// pointer is uniform inside a batched nest, since stores to it batch
+// uniformly or decline.
 func (b *batchExec) laneOff(v *VarInfo, pbuf *mem.Buffer, poff int, idxBase, idxN int32, l int32, line int32) (*mem.Buffer, int, error) {
 	if pbuf != nil {
 		return pbuf, poff + int(b.regs[idxBase].at(l).AsInt()), nil
 	}
 	flat := 0
-	for d := int32(0); d < idxN; d++ {
-		i := b.regs[idxBase+d].at(l).AsInt()
-		lo := 0
-		if int(d) < len(v.Lower) {
-			lo = v.Lower[d]
+	for d := range int(idxN) {
+		i := b.regs[idxBase+int32(d)].at(l).AsInt()
+		var ok bool
+		if flat, ok = v.Dim(flat, d, i); !ok {
+			return nil, 0, vmErrf(line, "%v", v.DimError(d, i))
 		}
-		rel := int(i) - lo
-		if rel < 0 || rel >= v.Dims[d] {
-			return nil, 0, vmErrf(line, "index %d out of range [%d,%d) in dimension %d of %s", i, lo, lo+v.Dims[d], d+1, v.Name)
-		}
-		flat = flat*v.Dims[d] + rel
 	}
 	return v.Buf, flat - v.Bias, nil
 }
@@ -391,53 +271,14 @@ func (b *batchExec) run() error {
 			b.setU(ins.A, consts[ins.B])
 
 		case bytecode.BLoadU:
-			lc := &b.loads[ins.B]
-			switch lc.state {
-			case vmScalar:
-			case vmArray, vmValue:
-				b.setU(ins.A, lc.val)
-				pc++
-				continue
-			default:
-				name := b.bp.OuterNames[ins.B]
-				if v, ok := b.c.env.Lookup(name); ok {
-					if v.IsArray() {
-						// The decayed pointer escapes, as in evalIdent;
-						// every runBatch resolves its slots afresh, so
-						// this runs before any cached use.
-						*lc = vmLoad{state: vmArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
-						v.Buf.Escape()
-						b.setU(ins.A, lc.val)
-						pc++
-						continue
-					}
-					*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.Word0()}
-				} else if v, ok := runtimeConstants[name]; ok {
-					*lc = vmLoad{state: vmValue, val: v}
-					b.setU(ins.A, v)
-					pc++
-					continue
-				} else {
-					return vmErrf(ins.Line, "undeclared variable %q", name)
-				}
-			}
-			if err := b.c.checkSpaceAt(lc.v, int(ins.Line)); err != nil {
+			v, err := b.c.loadSlot(&b.outer, ins.B, ins.Line, false)
+			if err != nil {
 				return err
 			}
-			var val mem.Value
-			if lc.w != nil {
-				lc.v.Buf.LoadWordInto(lc.w, &val)
-			} else {
-				v, err := lc.v.Buf.Load(0)
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-				val = v
-			}
-			b.setU(ins.A, val)
+			b.setU(ins.A, v)
 
 		case bytecode.BStoreU:
-			v, err := b.scalarTarget(ins.A, ins.Line)
+			v, err := b.c.scalarTarget(&b.outer, ins.A, ins.Line)
 			if err != nil {
 				return err
 			}
@@ -451,7 +292,7 @@ func (b *batchExec) run() error {
 			}
 
 		case bytecode.BAugU:
-			v, err := b.scalarTarget(ins.A, ins.Line)
+			v, err := b.c.scalarTarget(&b.outer, ins.A, ins.Line)
 			if err != nil {
 				return err
 			}
@@ -484,13 +325,13 @@ func (b *batchExec) run() error {
 			dst := b.slots[ins.A]
 			src := b.regs[ins.B]
 			if src.uni {
-				cv := convSlot(kind, src.u)
+				cv := src.u.Convert(kind)
 				for l := range b.nl {
 					dst[l] = cv
 				}
 			} else {
 				for l := range b.nl {
-					dst[l] = convSlot(kind, src.v[l])
+					dst[l] = src.v[l].Convert(kind)
 				}
 			}
 
@@ -498,19 +339,18 @@ func (b *batchExec) run() error {
 			kind := mem.Kind(ins.C)
 			dst := b.slots[ins.A]
 			if ins.B < 0 {
-				z := zeroOf(kind)
 				for l := range b.nl {
-					dst[l] = z
+					dst[l] = mem.Value{K: kind}
 				}
 			} else {
 				src := b.regs[ins.B]
 				for l := range b.nl {
-					dst[l] = convSlot(kind, src.at(l))
+					dst[l] = src.at(l).Convert(kind)
 				}
 			}
 
 		case bytecode.BLoadIdx:
-			v, pbuf, poff, err := b.idxBase(ins.B, ins.D, ins.Line)
+			v, pbuf, poff, err := b.c.subscriptSlot(&b.outer, ins.B, ins.D, ins.Line)
 			if err != nil {
 				return err
 			}
@@ -528,7 +368,7 @@ func (b *batchExec) run() error {
 			}
 
 		case bytecode.BStoreIdx:
-			v, pbuf, poff, err := b.idxBase(ins.A, ins.C, ins.Line)
+			v, pbuf, poff, err := b.c.subscriptSlot(&b.outer, ins.A, ins.C, ins.Line)
 			if err != nil {
 				return err
 			}
@@ -544,7 +384,7 @@ func (b *batchExec) run() error {
 			}
 
 		case bytecode.BAugIdx:
-			v, pbuf, poff, err := b.idxBase(ins.A, ins.C, ins.Line)
+			v, pbuf, poff, err := b.c.subscriptSlot(&b.outer, ins.A, ins.C, ins.Line)
 			if err != nil {
 				return err
 			}

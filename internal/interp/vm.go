@@ -17,58 +17,23 @@ import (
 // expressions re-enter the tree-walker on the same execution context, so
 // the two engines interleave freely and share all observable state.
 
-// vmLoad is the load-side resolution cache for one frame slot.
-type vmLoad struct {
-	state uint8
-	v     *VarInfo
-	val   mem.Value
-	// w is the scalar's unboxed word (non-nil only in state vmScalar when
-	// the element kind is unboxed): the dispatch loop then loads it inline,
-	// skipping Buffer.Load's bounds and representation dispatch.
-	w *uint64
-}
-
-const (
-	vmUnresolved uint8 = iota
-	vmScalar           // v: load through the buffer with space check + yield
-	vmArray            // val: cached array-decay pointer
-	vmValue            // val: runtime constant
-)
-
 // vmFrame is the per-scope activation record of a lowered proc: the register
-// file plus slot-resolution caches. It is cached on the activation Env
+// file plus the slot-resolution cache. It is cached on the activation Env
 // (one-slot, keyed by proc) so repeated entries — a lane body run once per
 // iteration — skip both allocation and name resolution.
 type vmFrame struct {
-	proc *bytecode.Proc
-	regs []mem.Value
-	// vars caches store-side resolution (plain scope lookup, as the
-	// tree-walker's lvalue does); loads caches load-side resolution, which
-	// additionally sees array decay and runtime constants.
-	vars  []*VarInfo
-	loads []vmLoad
+	proc  *bytecode.Proc
+	regs  []mem.Value
+	slots slotCache
 	// treeFallback marks frames created under host_data device views, where
 	// name resolution is dynamic and slot caching would be unsound.
 	treeFallback bool
 }
 
 func newVMFrame(p *bytecode.Proc, env *Env) *vmFrame {
-	return &vmFrame{
-		proc:         p,
-		regs:         make([]mem.Value, p.NumRegs),
-		vars:         make([]*VarInfo, len(p.SlotNames)),
-		loads:        make([]vmLoad, len(p.SlotNames)),
-		treeFallback: env.HasDeviceViews(),
-	}
-}
-
-func (f *vmFrame) reset() {
-	for i := range f.vars {
-		f.vars[i] = nil
-	}
-	for i := range f.loads {
-		f.loads[i] = vmLoad{}
-	}
+	f := &vmFrame{proc: p, regs: make([]mem.Value, p.NumRegs), treeFallback: env.HasDeviceViews()}
+	f.slots.reset(p.SlotNames)
+	return f
 }
 
 // vmErrf raises a runtime error at a lowered source line.
@@ -95,7 +60,7 @@ func (c *execCtx) execVM(p *bytecode.Proc) (ctl, error) {
 	}
 	// Declarations bind per activation: fresh child scope when the tree
 	// walker would create one, fresh slot caches always.
-	f.reset()
+	f.slots.reset(p.SlotNames)
 	if !p.ChildEnv {
 		return c.run(p, f)
 	}
@@ -123,24 +88,24 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			regs[ins.A] = p.Consts[ins.B]
 
 		case bytecode.OpLoadVar:
-			if lc := &f.loads[ins.B]; lc.w != nil {
+			if r := &f.slots.res[ins.B]; r.w != nil {
 				// Resolved unboxed scalar: same check + yield + load the
 				// slow path does, without the Buffer.Load dispatch.
-				if err := c.checkSpaceAt(lc.v, int(ins.Line)); err != nil {
+				if err := c.checkSpace(r.v, int(ins.Line)); err != nil {
 					return ctlNone, err
 				}
-				c.maybeYield(lc.v.Buf)
-				lc.v.Buf.LoadWordInto(lc.w, &regs[ins.A])
+				c.maybeYield(r.v.Buf)
+				r.v.Buf.LoadWordInto(r.w, &regs[ins.A])
 				break
 			}
-			v, err := c.vmLoadVar(f, ins)
+			v, err := c.loadSlot(&f.slots, ins.B, ins.Line, true)
 			if err != nil {
 				return ctlNone, err
 			}
 			regs[ins.A] = v
 
 		case bytecode.OpStoreVar:
-			v, err := c.vmScalarTarget(f, ins.A, ins.Line)
+			v, err := c.scalarTarget(&f.slots, ins.A, ins.Line)
 			if err != nil {
 				return ctlNone, err
 			}
@@ -154,7 +119,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			}
 
 		case bytecode.OpAugVar:
-			v, err := c.vmScalarTarget(f, ins.A, ins.Line)
+			v, err := c.scalarTarget(&f.slots, ins.A, ins.Line)
 			if err != nil {
 				return ctlNone, err
 			}
@@ -269,13 +234,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				return ctlNone, err
 			}
 			v, _ := c.env.Lookup(d.Name)
-			f.vars[ins.A] = v
-			lc := &f.loads[ins.A]
-			if v.IsArray() {
-				*lc = vmLoad{state: vmArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
-			} else {
-				*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.Word0()}
-			}
+			f.slots.res[ins.A].bind(v)
 
 		case bytecode.OpEscape:
 			ct, err := c.exec(p.Stmts[ins.B])
@@ -377,124 +336,24 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// vmLoadVar mirrors evalIdent: host_data device views, then variables
-// (arrays decay), then runtime constants.
-func (c *execCtx) vmLoadVar(f *vmFrame, ins *bytecode.Ins) (mem.Value, error) {
-	lc := &f.loads[ins.B]
-	switch lc.state {
-	case vmScalar:
-		// Resolved: fall through to the load below.
-	case vmArray:
-		lc.v.Buf.Escape() // the decayed pointer escapes, as in evalIdent
-		return lc.val, nil
-	case vmValue:
-		return lc.val, nil
-	default:
-		name := f.proc.SlotNames[ins.B]
-		if p, ok := c.env.DeviceView(name); ok {
-			// Dynamic binding: never cached (frames under host_data views
-			// tree-walk anyway; this is a correctness backstop).
-			return mem.PtrVal(p), nil
-		}
-		if v, ok := c.env.Lookup(name); ok {
-			if v.IsArray() {
-				*lc = vmLoad{state: vmArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
-				v.Buf.Escape()
-				return lc.val, nil
-			}
-			*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.Word0()}
-			break
-		}
-		if v, ok := runtimeConstants[name]; ok {
-			*lc = vmLoad{state: vmValue, val: v}
-			return v, nil
-		}
-		return mem.Value{}, vmErrf(ins.Line, "undeclared variable %q", name)
-	}
-	v := lc.v
-	if err := c.checkSpaceAt(v, int(ins.Line)); err != nil {
-		return mem.Value{}, err
-	}
-	c.maybeYield(v.Buf)
-	val, err := v.Buf.Load(0)
-	if err != nil {
-		return mem.Value{}, vmErrf(ins.Line, "%v", err)
-	}
-	return val, nil
-}
-
-// vmVar resolves a slot the way the tree-walker's lvalue path does: a plain
-// scope lookup.
-func (c *execCtx) vmVar(f *vmFrame, slot int32, line int32) (*VarInfo, error) {
-	if v := f.vars[slot]; v != nil {
-		return v, nil
-	}
-	name := f.proc.SlotNames[slot]
-	v, ok := c.env.Lookup(name)
-	if !ok {
-		return nil, vmErrf(line, "undeclared variable %q", name)
-	}
-	f.vars[slot] = v
-	return v, nil
-}
-
-// vmScalarTarget resolves a slot for a scalar store (lvalue Ident).
-func (c *execCtx) vmScalarTarget(f *vmFrame, slot int32, line int32) (*VarInfo, error) {
-	v, err := c.vmVar(f, slot, line)
-	if err != nil {
-		return nil, err
-	}
-	if v.IsArray() {
-		return nil, vmErrf(line, "cannot assign to array %q without a subscript", v.Name)
-	}
-	if err := c.checkSpaceAt(v, int(line)); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// vmIndexTarget mirrors indexTarget for an Ident base with subscripts in
-// registers [idxBase, idxBase+idxN).
+// vmIndexTarget resolves a subscripted slot, with its subscripts in
+// registers [idxBase, idxBase+idxN), to a buffer element.
 func (c *execCtx) vmIndexTarget(f *vmFrame, slot, idxBase, idxN int32, line int32) (*mem.Buffer, int, error) {
-	v, err := c.vmVar(f, slot, line)
+	v, buf, off, err := c.subscriptSlot(&f.slots, slot, idxN, line)
 	if err != nil {
 		return nil, 0, err
 	}
-	regs := f.regs
-	if v.IsPtr && !v.IsArray() {
-		pv, err := v.Buf.Load(0)
-		if err != nil {
-			return nil, 0, vmErrf(line, "%v", err)
-		}
-		if pv.K != mem.KPtr || pv.P.IsNil() {
-			return nil, 0, vmErrf(line, "subscript of null pointer %q", v.Name)
-		}
-		if idxN != 1 {
-			return nil, 0, vmErrf(line, "pointer subscript must be one-dimensional")
-		}
-		if err := c.checkDerefAt(pv.P.Buf, int(line)); err != nil {
-			return nil, 0, err
-		}
-		return pv.P.Buf, pv.P.Off + int(regs[idxBase].AsInt()), nil
-	}
-	if err := c.checkSpaceAt(v, int(line)); err != nil {
-		return nil, 0, err
-	}
-	if int(idxN) != len(v.Dims) {
-		return nil, 0, vmErrf(line, "%s has %d dimensions, indexed with %d subscripts", v.Name, len(v.Dims), idxN)
+	idx := f.regs[idxBase : idxBase+idxN]
+	if buf != nil {
+		return buf, off + int(idx[0].AsInt()), nil
 	}
 	flat := 0
-	for d := 0; d < int(idxN); d++ {
-		i := regs[int(idxBase)+d].AsInt()
-		lo := 0
-		if d < len(v.Lower) {
-			lo = v.Lower[d]
+	for d := range idx {
+		i := idx[d].AsInt()
+		var ok bool
+		if flat, ok = v.Dim(flat, d, i); !ok {
+			return nil, 0, vmErrf(line, "%v", v.DimError(d, i))
 		}
-		rel := int(i) - lo
-		if rel < 0 || rel >= v.Dims[d] {
-			return nil, 0, vmErrf(line, "index %d out of range [%d,%d) in dimension %d of %s", i, lo, lo+v.Dims[d], d+1, v.Name)
-		}
-		flat = flat*v.Dims[d] + rel
 	}
 	return v.Buf, flat - v.Bias, nil
 }

@@ -1,8 +1,9 @@
 // Package rt holds the runtime substrate shared by the tree-walking
 // interpreter and the bytecode VM: variable bindings, lexical scopes, the
-// operator kernels, and the runtime error type. Keeping one implementation
-// here is what lets the two engines produce bit-identical results — neither
-// carries a private copy of the arithmetic or scoping rules.
+// subscript bounds rule, the operator kernels, and the runtime error type.
+// Keeping one implementation here is what lets the engines produce
+// bit-identical results — none carries a private copy of the arithmetic,
+// scoping or bounds rules.
 package rt
 
 import (
@@ -45,27 +46,54 @@ func (v *VarInfo) Total() int {
 }
 
 // FlatIndex flattens a multi-dimensional subscript (row-major) and checks
-// bounds against the declared shape.
+// bounds against the declared shape. A pointer variable's subscript is the
+// engines' to resolve: it names the pointee, not v.
 func (v *VarInfo) FlatIndex(idx []int64) (int, error) {
-	if len(idx) != len(v.Dims) {
-		if len(v.Dims) == 0 && len(idx) == 1 && v.IsPtr {
-			return int(idx[0]), nil // pointer indexing: p[i]
-		}
-		return 0, fmt.Errorf("%s has %d dimensions, indexed with %d subscripts", v.Name, len(v.Dims), len(idx))
+	if err := v.CheckRank(len(idx)); err != nil {
+		return 0, err
 	}
 	flat := 0
 	for d, i := range idx {
-		lo := 0
-		if d < len(v.Lower) {
-			lo = v.Lower[d]
+		var ok bool
+		if flat, ok = v.Dim(flat, d, i); !ok {
+			return 0, v.DimError(d, i)
 		}
-		rel := int(i) - lo
-		if rel < 0 || rel >= v.Dims[d] {
-			return 0, fmt.Errorf("index %d out of range [%d,%d) in dimension %d of %s", i, lo, lo+v.Dims[d], d+1, v.Name)
-		}
-		flat = flat*v.Dims[d] + rel
 	}
 	return flat, nil
+}
+
+// CheckRank reports an error unless n subscripts index v, one per
+// dimension.
+func (v *VarInfo) CheckRank(n int) error {
+	if n != len(v.Dims) {
+		return fmt.Errorf("%s has %d dimensions, indexed with %d subscripts", v.Name, len(v.Dims), n)
+	}
+	return nil
+}
+
+// Dim is one step of FlatIndex, the bounds rule every engine applies: it
+// folds subscript i of dimension d into the row-major offset flat, or
+// reports false when i lies outside the dimension (DimError says how).
+func (v *VarInfo) Dim(flat, d int, i int64) (int, bool) {
+	rel := int(i) - v.LowerBound(d)
+	if rel < 0 || rel >= v.Dims[d] {
+		return 0, false
+	}
+	return flat*v.Dims[d] + rel, true
+}
+
+// DimError is the error for subscript i outside dimension d.
+func (v *VarInfo) DimError(d int, i int64) error {
+	lo := v.LowerBound(d)
+	return fmt.Errorf("index %d out of range [%d,%d) in dimension %d of %s", i, lo, lo+v.Dims[d], d+1, v.Name)
+}
+
+// LowerBound is dimension d's lower bound (0 when none is recorded).
+func (v *VarInfo) LowerBound(d int) int {
+	if d < len(v.Lower) {
+		return v.Lower[d]
+	}
+	return 0
 }
 
 // Env is a lexical scope chain.

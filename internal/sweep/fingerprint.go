@@ -84,8 +84,7 @@ func ConfigSalt(cfg core.Config) string {
 // deduplicates identical repeated runs (screening the same stack on many
 // nodes, repeated epochs) but never shares across versions.
 //
-// A vendor's semantics key is read here, once per toolchain: configure
-// the toolchain (SetVet) before calling For, as sweep.Run does.
+// A vendor's semantics key is read here, once per toolchain.
 func (f *Fingerprinter) For(tc compiler.Toolchain) func(*core.Template) (string, bool) {
 	v, isVendor := tc.(*vendors.Vendor)
 	if !isVendor {

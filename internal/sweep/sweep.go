@@ -115,9 +115,6 @@ func Run(ctx context.Context, vendor string, opts Options) (*Result, error) {
 		par = runtime.GOMAXPROCS(0)
 	}
 
-	// One toolchain per cell (SetVet mutates vendor options, so cells
-	// must not share instances), applied eagerly so the fingerprint
-	// semantics key never observes a half-configured toolchain.
 	type cell struct {
 		vi, li int
 		tc     compiler.Toolchain
@@ -128,11 +125,6 @@ func Run(ctx context.Context, vendor string, opts Options) (*Result, error) {
 			tc, err := vendors.New(vendor, versions[vi])
 			if err != nil {
 				return nil, err
-			}
-			if opts.Vet == core.VetOff {
-				if vc, ok := tc.(compiler.VetConfigurable); ok {
-					vc.SetVet(compiler.VetOff)
-				}
 			}
 			cells = append(cells, cell{vi: vi, li: li, tc: tc})
 		}

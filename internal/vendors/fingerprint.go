@@ -36,13 +36,18 @@ func (v *Vendor) BaseCompile(prog *ast.Program) (*compiler.Executable, []compile
 
 // SemanticsKey digests every compilation input that shapes runtime
 // behavior: spec level, loop-to-hardware mapping, the worker-without-gang
-// policy, vet mode, and the simulated device configuration. Options.Name
-// and Options.Version are deliberately excluded — they only decorate
+// policy, and the simulated device configuration. Options.Name and
+// Options.Version are deliberately excluded — they only decorate
 // diagnostics — so two versions of a family share a key and can share
 // memoized results when their fired-effect sets agree.
+//
+// The ";vet=0" is a fixed literal kept from a removed per-toolchain vet
+// switch: every existing store key was computed with those bytes, so
+// dropping them would turn every store cold (testdata/fingerprints.golden
+// pins the keys).
 func (v *Vendor) SemanticsKey() string {
-	return fmt.Sprintf("spec=%v;map=%d;wng=%d;vet=%d;dev=%+v",
-		v.opts.Spec, v.opts.Mapping, v.opts.WorkerNoGang, v.opts.Vet, v.devCfg)
+	return fmt.Sprintf("spec=%v;map=%d;wng=%d;vet=0;dev=%+v",
+		v.opts.Spec, v.opts.Mapping, v.opts.WorkerNoGang, v.devCfg)
 }
 
 // FiredEffects replays this release's active bug effects, in database

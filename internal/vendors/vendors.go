@@ -166,9 +166,6 @@ type Vendor struct {
 // Name implements compiler.Compiler.
 func (v *Vendor) Name() string { return v.name }
 
-// SetVet implements compiler.VetConfigurable.
-func (v *Vendor) SetVet(m compiler.VetMode) { v.opts.Vet = m }
-
 // Version implements compiler.Compiler.
 func (v *Vendor) Version() string { return v.version }
 

@@ -110,7 +110,8 @@ func WithFailFast() Option { return func(o *options) { o.failFast = true } }
 // data-movement and loop hazards; under the default VetEnforce policy an
 // error-severity finding fails the test with outcome VetFail, because a
 // hazardous test says nothing trustworthy about the compiler. VetWarnOnly
-// records findings without failing; VetOff skips analysis entirely.
+// records findings without failing; VetOff ignores them. The analyzers
+// run whatever the policy.
 func WithVet(p VetPolicy) Option { return func(o *options) { o.vet = p } }
 
 // WithEngine selects the interpreter's execution engine. The default,
