@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"accv/internal/ast"
 	"accv/internal/mem"
 	"accv/internal/rt"
 )
@@ -11,6 +12,13 @@ import (
 // side of the host/device split may touch it. Each engine supplies its own
 // source line and keeps its own order around these calls: check, then
 // yield, then load or store.
+//
+// The element helpers (loadElem, storeElem, augElem, subscript) and the
+// arithmetic helper (binInto) at the end serve both VMs: a numeric
+// element is read and written through its word, and int and double
+// operands take inlined operators. The tree-walker stays on
+// Buffer.Load/Store and rt.BinOp, the reference the engine differentials
+// hold these paths to.
 
 // resolution is what one name resolves to in a scope.
 type resolution struct {
@@ -36,7 +44,7 @@ func (r *resolution) bind(v *VarInfo) {
 		*r = resolution{state: resArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
 		return
 	}
-	*r = resolution{state: resScalar, v: v, w: v.Buf.Word0()}
+	*r = resolution{state: resScalar, v: v, w: v.Buf.WordAt(0)}
 }
 
 // resolveLoad resolves name for a load: a variable, else a runtime
@@ -231,4 +239,168 @@ func (c *execCtx) checkDeref(buf *mem.Buffer, line int) error {
 		return rt.Errf(line, "device dereference of host pointer (%s)", buf.Name)
 	}
 	return nil
+}
+
+// loadElem reads element off of buf into dst: through the element's word
+// when WordAt finds one, else through Buffer.Load, whose error it raises
+// at line. Like Buffer.LoadWordInto, the word path writes only dst's kind
+// and payload.
+func loadElem(buf *mem.Buffer, off int, dst *mem.Value, line int32) error {
+	if w := buf.WordAt(off); w != nil {
+		buf.LoadWordInto(w, dst)
+		return nil
+	}
+	v, err := buf.Load(off)
+	if err != nil {
+		return rt.Errf(int(line), "%v", err)
+	}
+	*dst = v
+	return nil
+}
+
+// storeElem writes *v into element off of buf, converted to the element
+// kind: through the element's word when WordAt finds one, else through
+// Buffer.Store, whose error it raises at line.
+func storeElem(buf *mem.Buffer, off int, v *mem.Value, line int32) error {
+	if w := buf.WordAt(off); w != nil {
+		buf.StoreWord(w, v)
+		return nil
+	}
+	if err := buf.Store(off, *v); err != nil {
+		return rt.Errf(int(line), "%v", err)
+	}
+	return nil
+}
+
+// augElem is op= on element off of buf, rhs its right operand: yield,
+// load, apply the operator, yield, store, with the yields taken only when
+// yield is set (batched lanes never yield).
+func (c *execCtx) augElem(buf *mem.Buffer, off int, op ast.OpKind, rhs *mem.Value, line int32, yield bool) error {
+	if yield {
+		c.maybeYield(buf)
+	}
+	var v mem.Value
+	if err := loadElem(buf, off, &v, line); err != nil {
+		return err
+	}
+	if err := binInto(op, &v, rhs, &v, line); err != nil {
+		return err
+	}
+	if yield {
+		c.maybeYield(buf)
+	}
+	return storeElem(buf, off, &v, line)
+}
+
+// subscript is v.AsInt() read in place: an int subscript's payload
+// without copying the value.
+func subscript(v *mem.Value) int64 {
+	if v.K == mem.KInt {
+		return v.I
+	}
+	return v.AsInt()
+}
+
+// binInto applies binary operator k to *x and *y and writes the result to
+// dst, which may alias either operand. Int and double operands take the
+// inlined operators of vmIntBin and vmF64Bin; every other operator, kind
+// and error is rt.BinOp's, raised at line.
+func binInto(k ast.OpKind, x, y, dst *mem.Value, line int32) error {
+	if x.K == mem.KInt && y.K == mem.KInt {
+		if vmIntBin(k, x.I, y.I, dst) {
+			return nil
+		}
+	} else if x.K == mem.KF64 && y.K == mem.KF64 {
+		if vmF64Bin(k, x.F, y.F, dst) {
+			return nil
+		}
+	}
+	v, err := rt.BinOp(k, *x, *y)
+	if err != nil {
+		return rt.Errf(int(line), "%v", err)
+	}
+	*dst = v
+	return nil
+}
+
+// vmIntBin inlines the integer rt.BinOp cases that cannot fail: the
+// operators kernel inner loops hit every iteration, with division and
+// modulo when the divisor is nonzero. A zero divisor, shifts, power and
+// the bitwise operators fall through to rt.BinOp. Results are written
+// field-by-field into dst: a scalar is fully described by its kind and
+// payload, and partial writes avoid copying the whole Value struct. The
+// operands arrive as plain int64s, so dst may alias an operand. Semantics
+// match rt.BinOp case for case (MinInt64 / -1 wraps in both).
+func vmIntBin(k ast.OpKind, a, b int64, dst *mem.Value) bool {
+	switch k {
+	case ast.OpAdd:
+		dst.K, dst.I = mem.KInt, a+b
+	case ast.OpSub:
+		dst.K, dst.I = mem.KInt, a-b
+	case ast.OpMul:
+		dst.K, dst.I = mem.KInt, a*b
+	case ast.OpDiv:
+		if b == 0 {
+			return false
+		}
+		dst.K, dst.I = mem.KInt, a/b
+	case ast.OpRem:
+		if b == 0 {
+			return false
+		}
+		dst.K, dst.I = mem.KInt, a%b
+	case ast.OpLt:
+		dst.K, dst.I = mem.KInt, b2i(a < b)
+	case ast.OpLe:
+		dst.K, dst.I = mem.KInt, b2i(a <= b)
+	case ast.OpGt:
+		dst.K, dst.I = mem.KInt, b2i(a > b)
+	case ast.OpGe:
+		dst.K, dst.I = mem.KInt, b2i(a >= b)
+	case ast.OpEq:
+		dst.K, dst.I = mem.KInt, b2i(a == b)
+	case ast.OpNe:
+		dst.K, dst.I = mem.KInt, b2i(a != b)
+	default:
+		return false
+	}
+	return true
+}
+
+// vmF64Bin is vmIntBin's double-precision sibling (float division cannot
+// fail; rt.BinOp yields F64 whenever both operands are F64, and comparisons
+// yield the same mem.Bool ints).
+func vmF64Bin(k ast.OpKind, a, b float64, dst *mem.Value) bool {
+	switch k {
+	case ast.OpAdd:
+		dst.K, dst.F = mem.KF64, a+b
+	case ast.OpSub:
+		dst.K, dst.F = mem.KF64, a-b
+	case ast.OpMul:
+		dst.K, dst.F = mem.KF64, a*b
+	case ast.OpDiv:
+		dst.K, dst.F = mem.KF64, a/b
+	case ast.OpLt:
+		dst.K, dst.I = mem.KInt, b2i(a < b)
+	case ast.OpLe:
+		dst.K, dst.I = mem.KInt, b2i(a <= b)
+	case ast.OpGt:
+		dst.K, dst.I = mem.KInt, b2i(a > b)
+	case ast.OpGe:
+		dst.K, dst.I = mem.KInt, b2i(a >= b)
+	case ast.OpEq:
+		dst.K, dst.I = mem.KInt, b2i(a == b)
+	case ast.OpNe:
+		dst.K, dst.I = mem.KInt, b2i(a != b)
+	default:
+		return false
+	}
+	return true
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

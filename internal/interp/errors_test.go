@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"accv/internal/ast"
@@ -17,7 +18,10 @@ import (
 // checks) under the tree-walker and the VM, and requires the same
 // RuntimeError, line and message, from both. The engine differentials over
 // the template corpus see only a handful of crash messages, so this table
-// is what holds the engines to the one copy of each rule.
+// is what holds the engines to the one copy of each rule. It also holds
+// the VMs' inlined paths to the errors they hand back: a zero divisor
+// (binInto's operators) and a pointer subscript past its buffer's end (the
+// element helpers' Buffer.Load/Store fallback).
 //
 // Under the VM a case marked batched must run its nest as a lane batch,
 // and every other case but the ones marked tree must find the faulting
@@ -39,6 +43,9 @@ func TestRuntimeErrorsAgreeAcrossEngines(t *testing.T) {
 		tree bool
 		// batched marks a fault inside a nest the VM runs as a lane batch.
 		batched bool
+		// bufID marks a message that ends in a buffer's ID, which a
+		// process-wide counter assigns: msg is the message up to the ID.
+		bufID bool
 	}{
 		{name: "undeclared variable, load", src: `
 int acc_test() {
@@ -171,6 +178,82 @@ int acc_test() {
     }
     return 1;
 }`, line: 7, msg: "device dereference of host pointer (a)"},
+		{name: "integer division by zero", src: `
+int acc_test() {
+    int z = 0;
+    return 1 / z;
+}`, line: 4, msg: "integer division by zero"},
+		{name: "integer modulo by zero", src: `
+int acc_test() {
+    int z = 0;
+    return 1 % z;
+}`, line: 4, msg: "integer modulo by zero"},
+		{name: "scalar /= zero", src: `
+int acc_test() {
+    int x = 5;
+    int z = 0;
+    x /= z;
+    return x;
+}`, line: 5, msg: "integer division by zero"},
+		{name: "scalar %= zero", src: `
+int acc_test() {
+    int x = 5;
+    int z = 0;
+    x %= z;
+    return x;
+}`, line: 5, msg: "integer modulo by zero"},
+		{name: "element /= zero", src: `
+int acc_test() {
+    int a[4];
+    int z = 0;
+    a[1] /= z;
+    return 1;
+}`, line: 5, msg: "integer division by zero"},
+		{name: "element %= zero", src: `
+int acc_test() {
+    int a[4];
+    int z = 0;
+    a[1] %= z;
+    return 1;
+}`, line: 5, msg: "integer modulo by zero"},
+		{name: "division by zero in a batched nest", src: `
+int acc_test() {
+    int a[16];
+    int b[16];
+    int z = 0;
+    int i;
+    #pragma acc parallel copy(a, b) num_gangs(2)
+    {
+        #pragma acc loop gang
+        for (i = 0; i < 16; i++) b[i] = a[i] / z;
+    }
+    return 1;
+}`, line: 10, msg: "integer division by zero", batched: true},
+		{name: "element %= zero in a batched nest", src: `
+int acc_test() {
+    int a[16];
+    int z = 0;
+    int i;
+    #pragma acc parallel copy(a) num_gangs(2)
+    {
+        #pragma acc loop gang
+        for (i = 0; i < 16; i++) a[i] %= z;
+    }
+    return 1;
+}`, line: 9, msg: "integer modulo by zero", batched: true},
+		{name: "pointer store past its buffer's end", src: `
+int acc_test() {
+    int a[4];
+    int *p = a;
+    p[9] = 1;
+    return 1;
+}`, line: 5, msg: "index 9 out of range [0,4) in host:a#", bufID: true},
+		{name: "pointer load past its buffer's end", src: `
+int acc_test() {
+    int a[4];
+    int *p = a + 2;
+    return p[2];
+}`, line: 5, msg: "index 4 out of range [0,4) in host:a#", bufID: true},
 		{name: "index out of range in a batched nest", src: `
 int acc_test() {
     int a[8];
@@ -191,7 +274,11 @@ int acc_test() {
 				t.Errorf("%s, %s engine: got %v, want a runtime error", tc.name, eng, res.Err)
 				continue
 			}
-			if re.Line != tc.line || re.Msg != tc.msg {
+			msg := re.Msg
+			if tc.bufID {
+				msg = strings.TrimRight(msg, "0123456789")
+			}
+			if re.Line != tc.line || msg != tc.msg {
 				t.Errorf("%s, %s engine: line %d %q, want line %d %q", tc.name, eng, re.Line, re.Msg, tc.line, tc.msg)
 			}
 			if eng == interp.EngineVM && tc.batched && res.SpmdBatchedNests == 0 {

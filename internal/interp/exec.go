@@ -369,13 +369,16 @@ func (c *execCtx) lvalue(e ast.Expr) (*mem.Buffer, int, error) {
 
 // indexTarget resolves a subscripted reference to a buffer element.
 func (c *execCtx) indexTarget(x *ast.IndexExpr) (*mem.Buffer, int, error) {
-	idx := make([]int64, len(x.Idx))
-	for i, ie := range x.Idx {
+	// The subscripts of a rank up to 4 stay in this frame: the tree-walker
+	// resolves one per element access.
+	var small [4]int64
+	idx := small[:0]
+	for _, ie := range x.Idx {
 		v, err := c.eval(ie)
 		if err != nil {
 			return nil, 0, err
 		}
-		idx[i] = v.AsInt()
+		idx = append(idx, v.AsInt())
 	}
 	line := ast.LineOf(x)
 	base, ok := x.X.(*ast.Ident)

@@ -12,12 +12,14 @@ package interp
 // It matches the goroutine path by sharing its rules rather than
 // mirroring them: names, subscripts and the host/device checks resolve
 // through access.go (the batch's outer slots in a slotCache, as a scalar
-// VM frame's), lane slots convert on store with mem.Value.Convert, and
-// each worker's ops count in an opCounter, charged in the same 64-op
-// chunks and flushed as the worker ends. What is the batch's own: errors
-// are raised for the lowest failing lane, reduction partials are
-// per-worker accumulators folded in ascending lane order, and no lane
-// draws a scheduler yield — batched nests are proven lane-independent,
+// VM frame's), elements load and store and operators apply through the
+// helpers the scalar VM calls there (loadElem, storeElem, augElem,
+// binInto), lane slots convert on store with mem.Value.Convert, and each
+// worker's ops count in an opCounter, charged in the same 64-op chunks
+// and flushed as the worker ends. What is the batch's own: errors are
+// raised for the lowest failing lane, reduction partials are per-worker
+// accumulators folded in ascending lane order, and no lane draws a
+// scheduler yield — batched nests are proven lane-independent,
 // so interleaving is unobservable.
 
 import (
@@ -27,7 +29,6 @@ import (
 	"accv/internal/bytecode"
 	"accv/internal/compiler"
 	"accv/internal/mem"
-	"accv/internal/rt"
 )
 
 // batchChunk is the lane count of one batch. A gang's lanes run in
@@ -79,11 +80,12 @@ type bval struct {
 	v   []mem.Value
 }
 
-func (r *bval) at(l int32) mem.Value {
+// ref points at lane l's value: the lane's own, or the uniform one.
+func (r *bval) ref(l int32) *mem.Value {
 	if r.uni {
-		return r.u
+		return &r.u
 	}
-	return r.v[l]
+	return &r.v[l]
 }
 
 type batchExec struct {
@@ -220,13 +222,15 @@ func (b *batchExec) tick() {
 	}
 }
 
-// vreg makes register r varying and returns its lane slice.
+// vreg returns register r's lane storage, leaving what r holds as it is:
+// the instruction filling the storage may still read r as an operand (a
+// load's destination is its first subscript, a binary op's its left
+// operand), and marks r varying once it is done with its operands.
 func (b *batchExec) vreg(r int32) []mem.Value {
 	rv := &b.regs[r]
 	if rv.v == nil {
 		rv.v = make([]mem.Value, batchChunk)
 	}
-	rv.uni = false
 	return rv.v[:b.nl]
 }
 
@@ -241,17 +245,31 @@ func (b *batchExec) setU(r int32, v mem.Value) {
 // uniformly or decline.
 func (b *batchExec) laneOff(v *VarInfo, pbuf *mem.Buffer, poff int, idxBase, idxN int32, l int32, line int32) (*mem.Buffer, int, error) {
 	if pbuf != nil {
-		return pbuf, poff + int(b.regs[idxBase].at(l).AsInt()), nil
+		return pbuf, poff + int(subscript(b.regs[idxBase].ref(l))), nil
 	}
 	flat := 0
 	for d := range int(idxN) {
-		i := b.regs[idxBase+int32(d)].at(l).AsInt()
+		i := subscript(b.regs[idxBase+int32(d)].ref(l))
 		var ok bool
 		if flat, ok = v.Dim(flat, d, i); !ok {
 			return nil, 0, vmErrf(line, "%v", v.DimError(d, i))
 		}
 	}
 	return v.Buf, flat - v.Bias, nil
+}
+
+// convertInto writes *v converted to kind k into dst, by Value.Convert's
+// rule; an int or double already of kind k is written as its kind and
+// payload alone, as Buffer.LoadWordInto writes a value.
+func convertInto(dst, v *mem.Value, k mem.Kind) {
+	switch {
+	case v.K == k && k == mem.KInt:
+		dst.K, dst.I = k, v.I
+	case v.K == k && k == mem.KF64:
+		dst.K, dst.F = k, v.F
+	default:
+		*dst = v.Convert(k)
+	}
 }
 
 // run is the batch dispatch loop.
@@ -282,13 +300,8 @@ func (b *batchExec) run() error {
 			if err != nil {
 				return err
 			}
-			val := b.regs[ins.B].u
-			if w := v.Buf.Word0(); w != nil {
-				v.Buf.StoreWord(w, val)
-				break
-			}
-			if err := v.Buf.Store(0, val); err != nil {
-				return vmErrf(ins.Line, "%v", err)
+			if err := storeElem(v.Buf, 0, &b.regs[ins.B].u, ins.Line); err != nil {
+				return err
 			}
 
 		case bytecode.BAugU:
@@ -296,43 +309,20 @@ func (b *batchExec) run() error {
 			if err != nil {
 				return err
 			}
-			var old mem.Value
-			if w := v.Buf.Word0(); w != nil {
-				old = v.Buf.LoadWord(w)
-			} else {
-				old, err = v.Buf.Load(0)
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-			}
-			nv, err := rt.BinOp(ast.OpKind(ins.D), old, b.regs[ins.B].u)
-			if err != nil {
-				return vmErrf(ins.Line, "%v", err)
-			}
-			if w := v.Buf.Word0(); w != nil {
-				v.Buf.StoreWord(w, nv)
-				break
-			}
-			if err := v.Buf.Store(0, nv); err != nil {
-				return vmErrf(ins.Line, "%v", err)
+			if err := b.c.augElem(v.Buf, 0, ast.OpKind(ins.D), &b.regs[ins.B].u, ins.Line, false); err != nil {
+				return err
 			}
 
 		case bytecode.BLoadL:
 			copy(b.vreg(ins.A), b.slots[ins.B])
+			b.regs[ins.A].uni = false
 
 		case bytecode.BStoreL:
 			kind := b.bp.SlotKinds[ins.A]
 			dst := b.slots[ins.A]
-			src := b.regs[ins.B]
-			if src.uni {
-				cv := src.u.Convert(kind)
-				for l := range b.nl {
-					dst[l] = cv
-				}
-			} else {
-				for l := range b.nl {
-					dst[l] = src.v[l].Convert(kind)
-				}
+			src := &b.regs[ins.B]
+			for l := range b.nl {
+				convertInto(&dst[l], src.ref(l), kind)
 			}
 
 		case bytecode.BDecl:
@@ -343,9 +333,9 @@ func (b *batchExec) run() error {
 					dst[l] = mem.Value{K: kind}
 				}
 			} else {
-				src := b.regs[ins.B]
+				src := &b.regs[ins.B]
 				for l := range b.nl {
-					dst[l] = src.at(l).Convert(kind)
+					convertInto(&dst[l], src.ref(l), kind)
 				}
 			}
 
@@ -360,26 +350,25 @@ func (b *batchExec) run() error {
 				if err != nil {
 					return err
 				}
-				val, err := buf.Load(off)
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
+				if err := loadElem(buf, off, &dst[l], ins.Line); err != nil {
+					return err
 				}
-				dst[l] = val
 			}
+			b.regs[ins.A].uni = false
 
 		case bytecode.BStoreIdx:
 			v, pbuf, poff, err := b.c.subscriptSlot(&b.outer, ins.A, ins.C, ins.Line)
 			if err != nil {
 				return err
 			}
-			src := b.regs[ins.D]
+			src := &b.regs[ins.D]
 			for l := range b.nl {
 				buf, off, err := b.laneOff(v, pbuf, poff, ins.B, ins.C, l, ins.Line)
 				if err != nil {
 					return err
 				}
-				if err := buf.Store(off, src.at(l)); err != nil {
-					return vmErrf(ins.Line, "%v", err)
+				if err := storeElem(buf, off, src.ref(l), ins.Line); err != nil {
+					return err
 				}
 			}
 
@@ -388,55 +377,35 @@ func (b *batchExec) run() error {
 			if err != nil {
 				return err
 			}
-			src := b.regs[ins.D]
+			src := &b.regs[ins.D]
 			op := ast.OpKind(ins.E)
 			for l := range b.nl {
 				buf, off, err := b.laneOff(v, pbuf, poff, ins.B, ins.C, l, ins.Line)
 				if err != nil {
 					return err
 				}
-				old, err := buf.Load(off)
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-				nv, err := rt.BinOp(op, old, src.at(l))
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-				if err := buf.Store(off, nv); err != nil {
-					return vmErrf(ins.Line, "%v", err)
+				if err := b.c.augElem(buf, off, op, src.ref(l), ins.Line, false); err != nil {
+					return err
 				}
 			}
 
 		case bytecode.BBin:
-			x, y := b.regs[ins.B], b.regs[ins.C]
+			x, y, d := &b.regs[ins.B], &b.regs[ins.C], &b.regs[ins.A]
 			op := ast.OpKind(ins.D)
 			if x.uni && y.uni {
-				v, err := rt.BinOp(op, x.u, y.u)
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
+				if err := binInto(op, &x.u, &y.u, &d.u, ins.Line); err != nil {
+					return err
 				}
-				b.setU(ins.A, v)
+				d.uni = true
 				break
 			}
 			dst := b.vreg(ins.A)
 			for l := range b.nl {
-				xv, yv := x.at(l), y.at(l)
-				if xv.K == mem.KInt && yv.K == mem.KInt {
-					if vmIntBin(op, xv.I, yv.I, &dst[l]) {
-						continue
-					}
-				} else if xv.K == mem.KF64 && yv.K == mem.KF64 {
-					if vmF64Bin(op, xv.F, yv.F, &dst[l]) {
-						continue
-					}
+				if err := binInto(op, x.ref(l), y.ref(l), &dst[l], ins.Line); err != nil {
+					return err
 				}
-				v, err := rt.BinOp(op, xv, yv)
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
-				}
-				dst[l] = v
 			}
+			d.uni = false
 
 		case bytecode.BJump:
 			pc = int(ins.A)
@@ -448,7 +417,7 @@ func (b *batchExec) run() error {
 			}
 
 		case bytecode.BRed:
-			src := b.regs[ins.B]
+			src := &b.regs[ins.B]
 			op := ast.OpKind(ins.D)
 			acc := b.redAcc
 			ri := ins.A
@@ -457,11 +426,10 @@ func (b *batchExec) run() error {
 				if b.workerOf != nil {
 					w = b.workerOf[l]
 				}
-				nv, err := rt.BinOp(op, acc[w][ri], src.at(l))
-				if err != nil {
-					return vmErrf(ins.Line, "%v", err)
+				a := &acc[w][ri]
+				if err := binInto(op, a, src.ref(l), a, ins.Line); err != nil {
+					return err
 				}
-				acc[w][ri] = nv
 			}
 
 		case bytecode.BEndBatch:

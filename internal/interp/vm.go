@@ -110,12 +110,8 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				return ctlNone, err
 			}
 			c.maybeYield(v.Buf)
-			if w := v.Buf.Word0(); w != nil {
-				v.Buf.StoreWord(w, regs[ins.B])
-				break
-			}
-			if err := v.Buf.Store(0, regs[ins.B]); err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
+			if err := storeElem(v.Buf, 0, &regs[ins.B], ins.Line); err != nil {
+				return ctlNone, err
 			}
 
 		case bytecode.OpAugVar:
@@ -123,27 +119,8 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, err
 			}
-			c.maybeYield(v.Buf)
-			if w := v.Buf.Word0(); w != nil {
-				nv, err := rt.BinOp(ast.OpKind(ins.D), v.Buf.LoadWord(w), regs[ins.B])
-				if err != nil {
-					return ctlNone, vmErrf(ins.Line, "%v", err)
-				}
-				c.maybeYield(v.Buf)
-				v.Buf.StoreWord(w, nv)
-				break
-			}
-			old, err := v.Buf.Load(0)
-			if err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
-			}
-			nv, err := rt.BinOp(ast.OpKind(ins.D), old, regs[ins.B])
-			if err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
-			}
-			c.maybeYield(v.Buf)
-			if err := v.Buf.Store(0, nv); err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
+			if err := c.augElem(v.Buf, 0, ast.OpKind(ins.D), &regs[ins.B], ins.Line, true); err != nil {
+				return ctlNone, err
 			}
 
 		case bytecode.OpLoadIdx:
@@ -152,11 +129,9 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				return ctlNone, err
 			}
 			c.maybeYield(buf)
-			v, err := buf.Load(off)
-			if err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
+			if err := loadElem(buf, off, &regs[ins.A], ins.Line); err != nil {
+				return ctlNone, err
 			}
-			regs[ins.A] = v
 
 		case bytecode.OpStoreIdx:
 			buf, off, err := c.vmIndexTarget(f, ins.A, ins.B, ins.C, ins.Line)
@@ -164,8 +139,8 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				return ctlNone, err
 			}
 			c.maybeYield(buf)
-			if err := buf.Store(off, regs[ins.D]); err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
+			if err := storeElem(buf, off, &regs[ins.D], ins.Line); err != nil {
+				return ctlNone, err
 			}
 
 		case bytecode.OpAugIdx:
@@ -173,36 +148,14 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if err != nil {
 				return ctlNone, err
 			}
-			c.maybeYield(buf)
-			old, err := buf.Load(off)
-			if err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
-			}
-			nv, err := rt.BinOp(ast.OpKind(ins.E), old, regs[ins.D])
-			if err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
-			}
-			c.maybeYield(buf)
-			if err := buf.Store(off, nv); err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
+			if err := c.augElem(buf, off, ast.OpKind(ins.E), &regs[ins.D], ins.Line, true); err != nil {
+				return ctlNone, err
 			}
 
 		case bytecode.OpBin:
-			xp, yp := &regs[ins.B], &regs[ins.C]
-			if xp.K == mem.KInt && yp.K == mem.KInt {
-				if vmIntBin(ast.OpKind(ins.D), xp.I, yp.I, &regs[ins.A]) {
-					break
-				}
-			} else if xp.K == mem.KF64 && yp.K == mem.KF64 {
-				if vmF64Bin(ast.OpKind(ins.D), xp.F, yp.F, &regs[ins.A]) {
-					break
-				}
+			if err := binInto(ast.OpKind(ins.D), &regs[ins.B], &regs[ins.C], &regs[ins.A], ins.Line); err != nil {
+				return ctlNone, err
 			}
-			v, err := rt.BinOp(ast.OpKind(ins.D), *xp, *yp)
-			if err != nil {
-				return ctlNone, vmErrf(ins.Line, "%v", err)
-			}
-			regs[ins.A] = v
 
 		case bytecode.OpUn:
 			v, err := rt.UnOp(ast.OpKind(ins.D), regs[ins.B])
@@ -265,77 +218,6 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 	}
 }
 
-// vmIntBin inlines the integer rt.BinOp cases that cannot fail — the
-// operators kernel inner loops hit every iteration. Division, modulo (zero
-// checks), shifts, power, and mixed kinds fall through to rt.BinOp. Results
-// are written field-by-field into dst (already a register slot): a scalar is
-// fully described by its kind and payload, and partial writes avoid copying
-// the whole Value struct. The operands arrive as plain int64s, so dst may
-// alias an operand register. Semantics match rt.BinOp case for case.
-func vmIntBin(k ast.OpKind, a, b int64, dst *mem.Value) bool {
-	switch k {
-	case ast.OpAdd:
-		dst.K, dst.I = mem.KInt, a+b
-	case ast.OpSub:
-		dst.K, dst.I = mem.KInt, a-b
-	case ast.OpMul:
-		dst.K, dst.I = mem.KInt, a*b
-	case ast.OpLt:
-		dst.K, dst.I = mem.KInt, b2i(a < b)
-	case ast.OpLe:
-		dst.K, dst.I = mem.KInt, b2i(a <= b)
-	case ast.OpGt:
-		dst.K, dst.I = mem.KInt, b2i(a > b)
-	case ast.OpGe:
-		dst.K, dst.I = mem.KInt, b2i(a >= b)
-	case ast.OpEq:
-		dst.K, dst.I = mem.KInt, b2i(a == b)
-	case ast.OpNe:
-		dst.K, dst.I = mem.KInt, b2i(a != b)
-	default:
-		return false
-	}
-	return true
-}
-
-// vmF64Bin is vmIntBin's double-precision sibling (float division cannot
-// fail; rt.BinOp yields F64 whenever both operands are F64, and comparisons
-// yield the same mem.Bool ints).
-func vmF64Bin(k ast.OpKind, a, b float64, dst *mem.Value) bool {
-	switch k {
-	case ast.OpAdd:
-		dst.K, dst.F = mem.KF64, a+b
-	case ast.OpSub:
-		dst.K, dst.F = mem.KF64, a-b
-	case ast.OpMul:
-		dst.K, dst.F = mem.KF64, a*b
-	case ast.OpDiv:
-		dst.K, dst.F = mem.KF64, a/b
-	case ast.OpLt:
-		dst.K, dst.I = mem.KInt, b2i(a < b)
-	case ast.OpLe:
-		dst.K, dst.I = mem.KInt, b2i(a <= b)
-	case ast.OpGt:
-		dst.K, dst.I = mem.KInt, b2i(a > b)
-	case ast.OpGe:
-		dst.K, dst.I = mem.KInt, b2i(a >= b)
-	case ast.OpEq:
-		dst.K, dst.I = mem.KInt, b2i(a == b)
-	case ast.OpNe:
-		dst.K, dst.I = mem.KInt, b2i(a != b)
-	default:
-		return false
-	}
-	return true
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // vmIndexTarget resolves a subscripted slot, with its subscripts in
 // registers [idxBase, idxBase+idxN), to a buffer element.
 func (c *execCtx) vmIndexTarget(f *vmFrame, slot, idxBase, idxN int32, line int32) (*mem.Buffer, int, error) {
@@ -345,11 +227,11 @@ func (c *execCtx) vmIndexTarget(f *vmFrame, slot, idxBase, idxN int32, line int3
 	}
 	idx := f.regs[idxBase : idxBase+idxN]
 	if buf != nil {
-		return buf, off + int(idx[0].AsInt()), nil
+		return buf, off + int(subscript(&idx[0])), nil
 	}
 	flat := 0
 	for d := range idx {
-		i := idx[d].AsInt()
+		i := subscript(&idx[d])
 		var ok bool
 		if flat, ok = v.Dim(flat, d, i); !ok {
 			return nil, 0, vmErrf(line, "%v", v.DimError(d, i))

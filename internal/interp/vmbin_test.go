@@ -12,7 +12,9 @@ import (
 // TestVMFastPathsMatchBinOp holds the VM's inlined integer and double
 // operators to rt.BinOp, the one implementation both engines share: for
 // every operator and operand pair a fast path handles, it must produce
-// rt.BinOp's kind and payload (the only fields the fast paths write).
+// rt.BinOp's kind and payload (the only fields the fast paths write). The
+// operand table keeps 0 and MinInt64, so integer / and % meet both a zero
+// divisor, which must fall through to rt.BinOp's error, and MinInt64 / -1.
 func TestVMFastPathsMatchBinOp(t *testing.T) {
 	ints := []int64{0, 1, -1, 2, -7, 7, 63, 64, math.MinInt64, math.MaxInt64}
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -2.5, 3,
@@ -24,6 +26,10 @@ func TestVMFastPathsMatchBinOp(t *testing.T) {
 			for _, b := range ints {
 				var got mem.Value
 				if !vmIntBin(k, a, b, &got) {
+					continue
+				}
+				if b == 0 && (k == ast.OpDiv || k == ast.OpRem) {
+					t.Errorf("vmIntBin %d %s 0 took the fast path; a zero divisor is rt.BinOp's error", a, k)
 					continue
 				}
 				intCases++

@@ -265,9 +265,9 @@ func NewBuffer(elem Kind, n int, space Space, name string) *Buffer {
 	return b
 }
 
-// bits encodes v for an unboxed buffer, applying the same C conversion
+// bits encodes *v for an unboxed buffer, applying the same C conversion
 // rules Store's boxed path applies through Value.Convert.
-func (b *Buffer) bits(v Value) uint64 {
+func (b *Buffer) bits(v *Value) uint64 {
 	// Same-kind stores need no conversion for int and double; KF32 always
 	// re-rounds, exactly as Value.Convert does.
 	if v.K == b.Elem {
@@ -296,27 +296,24 @@ func (b *Buffer) unbits(w uint64) Value {
 	return Value{K: b.Elem, F: math.Float64frombits(w)}
 }
 
-// Word0 returns the address of element 0's unboxed word, or nil for boxed
-// buffers (pointer and string elements). The interpreter's VM caches it per
-// frame slot so scalar loads and stores skip Load/Store's bounds check and
-// representation dispatch; the word array is allocated once in NewBuffer and
-// never moves, so a cached address stays valid for the buffer's lifetime.
-func (b *Buffer) Word0() *uint64 {
-	if len(b.words) > 0 {
-		return &b.words[0]
+// WordAt returns the address of element i's unboxed word, or nil for a
+// boxed buffer (pointer and string elements) or an index outside the
+// buffer. It inlines, so the interpreter's VMs reach a numeric element
+// without Load/Store's call, boxed result and representation dispatch,
+// and hand everything else to Load/Store and their errors. The word array
+// is allocated once in NewBuffer and never moves, so a cached address
+// stays valid for the buffer's lifetime.
+func (b *Buffer) WordAt(i int) *uint64 {
+	if uint(i) < uint(len(b.words)) {
+		return &b.words[i]
 	}
 	return nil
 }
 
-// LoadWord atomically reads the unboxed word at w as a typed value. w must
-// come from this buffer's Word0.
-func (b *Buffer) LoadWord(w *uint64) Value {
-	return b.unbits(atomic.LoadUint64(w))
-}
-
-// LoadWordInto is LoadWord writing straight into dst. Only the kind and the
-// matching payload field are written — a scalar's value is fully described
-// by those, and skipping the rest of the struct keeps a register-file write
+// LoadWordInto atomically reads the unboxed word at w, which must come
+// from this buffer's WordAt, into dst as a typed value. Only the kind and
+// the matching payload field are written — a scalar's value is fully
+// described by those, and skipping the rest of the struct keeps the write
 // to two words with no pointer-write barrier.
 func (b *Buffer) LoadWordInto(w *uint64, dst *Value) {
 	word := atomic.LoadUint64(w)
@@ -327,9 +324,10 @@ func (b *Buffer) LoadWordInto(w *uint64, dst *Value) {
 	dst.K, dst.F = b.Elem, math.Float64frombits(word)
 }
 
-// StoreWord atomically writes v — converted to the element kind, exactly as
-// Store converts — into the unboxed word at w.
-func (b *Buffer) StoreWord(w *uint64, v Value) {
+// StoreWord atomically writes *v — converted to the element kind, exactly
+// as Store converts — into the unboxed word at w, which must come from
+// this buffer's WordAt.
+func (b *Buffer) StoreWord(w *uint64, v *Value) {
 	atomic.StoreUint64(w, b.bits(v))
 }
 
@@ -353,7 +351,7 @@ func NewGarbageBuffer(elem Kind, n int, space Space, name string, seed int64) *B
 			v = Int(int64(bits % 1000003))
 		}
 		if b.words != nil {
-			b.words[i] = b.bits(v)
+			b.words[i] = b.bits(&v)
 		} else {
 			b.data[i] = v
 		}
@@ -412,7 +410,7 @@ func (b *Buffer) Store(i int, v Value) error {
 		if uint(i) >= uint(len(w)) {
 			return fmt.Errorf("index %d out of range [0,%d) in %s", i, len(w), b)
 		}
-		atomic.StoreUint64(&w[i], b.bits(v))
+		atomic.StoreUint64(&w[i], b.bits(&v))
 		return nil
 	}
 	if i < 0 || i >= len(b.data) {
@@ -485,7 +483,7 @@ func (b *Buffer) Snapshot() []Value {
 // Fill sets every element to v.
 func (b *Buffer) Fill(v Value) {
 	if w := b.words; w != nil {
-		bits := b.bits(v)
+		bits := b.bits(&v)
 		for i := range w {
 			atomic.StoreUint64(&w[i], bits)
 		}

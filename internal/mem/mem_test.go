@@ -83,6 +83,41 @@ func TestBufferBounds(t *testing.T) {
 	if err != nil || v.I != 9 {
 		t.Fatalf("roundtrip: %v %v", v, err)
 	}
+	for _, i := range []int{-1, 4} {
+		if b.WordAt(i) != nil {
+			t.Errorf("WordAt(%d) of a 4-element buffer must be nil", i)
+		}
+	}
+	if w := b.WordAt(2); w == nil || int64(*w) != 9 {
+		t.Errorf("WordAt(2) must address the element Store wrote")
+	}
+	if NewBuffer(KPtr, 4, Host, "p").WordAt(0) != nil {
+		t.Error("a boxed buffer has no words")
+	}
+}
+
+// TestStoreWordConvertsAsStore holds the word path to Store's conversion
+// rules: every value kind stored into every numeric element kind through
+// WordAt and StoreWord reads back, through LoadWordInto, exactly as a
+// Store and Load of the same value do.
+func TestStoreWordConvertsAsStore(t *testing.T) {
+	vals := []Value{Int(16777217), Int(-7), F32(2.7), F64(-1.0000001), F64(1e300), F64(-2.5)}
+	for _, elem := range []Kind{KInt, KF32, KF64} {
+		for _, v := range vals {
+			boxed, word := NewBuffer(elem, 2, Host, "b"), NewBuffer(elem, 2, Host, "w")
+			if err := boxed.Store(1, v); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := boxed.Load(1)
+			w := word.WordAt(1)
+			word.StoreWord(w, &v)
+			var got Value
+			word.LoadWordInto(w, &got)
+			if got.K != want.K || got.I != want.I || math.Float64bits(got.F) != math.Float64bits(want.F) {
+				t.Errorf("%v into %v: word path reads {%v %d %g}, Store/Load {%v %d %g}", v, elem, got.K, got.I, got.F, want.K, want.I, want.F)
+			}
+		}
+	}
 }
 
 func TestBufferStoreConverts(t *testing.T) {
