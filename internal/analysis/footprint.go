@@ -175,8 +175,10 @@ func (w *laneWalker) enterNest(ps *ast.PragmaStmt, d *directive.Directive) {
 }
 
 // collapseIvars extracts the induction variables of the collapse-consumed
-// loop nest, unwrapping single-statement blocks exactly as the runtime's
-// nest canonicalizer does.
+// loop nest, unwrapping single-statement blocks at any depth. The compiler
+// and the runtime read the nest sema recorded on the loop plan; accvet
+// analyzes programs that never pass sema, so it keeps this walk of its
+// own and tolerates what sema would reject.
 func collapseIvars(body ast.Stmt, collapse int) map[string]bool {
 	ivars := map[string]bool{}
 	s := body

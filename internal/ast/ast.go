@@ -244,6 +244,23 @@ type Block struct {
 func (*Block) node() {}
 func (*Block) stmt() {}
 
+// Declares reports whether the block binds a name into its own scope: a
+// direct declaration, or one inside a bare sub-block. A block that
+// declares nothing can share its parent's scope.
+func (b *Block) Declares() bool {
+	for _, s := range b.Stmts {
+		switch x := s.(type) {
+		case *DeclStmt:
+			return true
+		case *Block:
+			if x.Bare && x.Declares() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // DeclStmt declares a scalar or array variable, optionally initialized.
 // For arrays, Dims holds one extent expression per dimension and Lower the
 // per-dimension lower bound (nil means the language default: 0 for C,

@@ -193,7 +193,7 @@ func (lw *lowerer) stmt(st ast.Stmt) {
 		// their own scope — the tree-walker owns that. Bare blocks with
 		// non-root declarations would bind into the frame scope mid-proc,
 		// invalidating slot caches: decline the proc.
-		if declsOf(x) > 0 && !lw.rootChain(x) {
+		if x.Declares() && !lw.rootChain(x) {
 			if x.Bare {
 				lw.failed = true
 				return
@@ -306,23 +306,6 @@ func (lw *lowerer) rootChain(b *ast.Block) bool {
 		return false
 	}
 	return find(root)
-}
-
-// declsOf counts declarations the block would bind into its own scope
-// (direct children plus bare sub-blocks).
-func declsOf(b *ast.Block) int {
-	n := 0
-	for _, s := range b.Stmts {
-		switch x := s.(type) {
-		case *ast.DeclStmt:
-			n++
-		case *ast.Block:
-			if x.Bare {
-				n += declsOf(x)
-			}
-		}
-	}
-	return n
 }
 
 // assign lowers an assignment or increment/decrement. rhs == nil means an

@@ -72,9 +72,8 @@ type BatchProc struct {
 	Code []Ins
 	// Consts is the literal pool.
 	Consts []mem.Value
-	// IvNames are the collapsed induction variables, outermost first;
-	// IvSlots their lane slots.
-	IvNames []string
+	// IvSlots are the lane slots of the collapsed induction variables,
+	// outermost first.
 	IvSlots []int32
 	// SlotKinds fixes each lane slot's element kind; every store converts,
 	// mirroring mem.Buffer's store conversion.
@@ -128,7 +127,7 @@ func (s shape) join(o shape) shape {
 // the proc; otherwise nil and the decline reason.
 func LowerBatch(name string, dirLine int, body ast.Stmt, ivNames, redNames []string) (*BatchProc, string) {
 	lw := &batchLowerer{
-		p:            &BatchProc{Name: name, Line: dirLine, IvNames: ivNames, RedNames: redNames},
+		p:            &BatchProc{Name: name, Line: dirLine, RedNames: redNames},
 		consts:       map[mem.Value]int32{},
 		outer:        map[string]int32{},
 		reds:         map[string]int32{},

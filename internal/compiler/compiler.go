@@ -204,6 +204,11 @@ type LoopPlan struct {
 	GangArg     ast.Expr
 	WorkerArg   ast.Expr
 	VectorArg   ast.Expr
+	// Nest holds the Collapse tightly nested loops the directive
+	// schedules, outermost first, each an *ast.ForStmt or *ast.DoStmt.
+	// Sema records them; the batch lowerer and the interpreter read them
+	// from here.
+	Nest []ast.Stmt
 
 	// Gang0Only serializes the loop into gang 0 (the WorkerNoGangSerialize
 	// policy for Fig. 1's ambiguity).
@@ -233,10 +238,6 @@ type Hooks struct {
 	FirstprivateAsPrivate bool
 	// UpdateHostNoop: the update host directive performs no transfer.
 	UpdateHostNoop bool
-	// CollapseOuterOnly: collapse(n) schedules only the outer loop.
-	CollapseOuterOnly bool
-	// IgnoreVectorLength: vector_length clause ignored, default used.
-	IgnoreVectorLength bool
 	// HangOnWait: the wait directive/routines never return (runner times out).
 	HangOnWait bool
 	// WaitNoop: waits return immediately without draining queues.
@@ -285,9 +286,9 @@ type Executable struct {
 	// Batch holds the lane-batched lowering of every loop nest the
 	// LaneSafety oracle proves independent and the batch lowerer can model;
 	// BatchDecline records why every other planned nest was not batched.
-	// Only the VM engine consults them (docs/PERFORMANCE.md). The maps
-	// reflect compile-time plans: the interpreter re-checks bug-mutated
-	// plan flags before using an entry.
+	// Only the VM engine consults them (docs/PERFORMANCE.md). They are
+	// lowered from the plans the run executes, after any vendor bug
+	// effects, so the interpreter re-checks no plan flag.
 	Batch        map[*ast.PragmaStmt]*bytecode.BatchProc
 	BatchDecline map[*ast.PragmaStmt]string
 }
@@ -344,26 +345,34 @@ func (r *Reference) DeviceConfig() device.Config {
 	return device.Config{ConcreteType: device.NotHost, Backend: device.CUDA}
 }
 
-// Compile performs the reference lowering: Plan, then vet, the lane-safety
-// oracle, bytecode lowering and batch lowering.
+// Compile performs the reference lowering: Plan, then Lower.
 func Compile(prog *ast.Program, opts Options) (*Executable, []Diagnostic, error) {
 	exe, diags, err := Plan(prog, opts)
 	if err != nil {
 		return nil, diags, err
 	}
-	exe.Findings = analysis.Analyze(prog, analysis.Options{}).Findings
-	exe.LaneSafety = analysis.AnalyzeLaneSafety(prog)
-	exe.Code = bytecode.LowerProgram(prog)
-	lowerBatches(exe)
+	Lower(exe)
 	return exe, diags, nil
+}
+
+// Lower is the back half of Compile: vet, the lane-safety oracle,
+// bytecode lowering and batch lowering of a Plan result. A vendor
+// compiler applies its bug effects to the plan before calling it, so the
+// batch lowering sees the plans the run executes.
+func Lower(exe *Executable) {
+	exe.Findings = analysis.Analyze(exe.Prog, analysis.Options{}).Findings
+	exe.LaneSafety = analysis.AnalyzeLaneSafety(exe.Prog)
+	exe.Code = bytecode.LowerProgram(exe.Prog)
+	lowerBatches(exe)
 }
 
 // Plan is the semantic-analysis stage of Compile: it checks the program
 // and builds the region descriptors and loop plans, and fails with the
 // same diagnostics and CompileError Compile would. The executable it
 // returns has no vet findings, lane-safety verdicts, bytecode or batch
-// lowering; vendor bug effects read nothing else, which is why the sweep
-// fingerprints programs from a plan.
+// lowering. Vendor bug effects read and rewrite only what it holds, which
+// is why a vendor compiler applies them between Plan and Lower and why
+// the sweep fingerprints programs from a plan.
 func Plan(prog *ast.Program, opts Options) (*Executable, []Diagnostic, error) {
 	s := &sema{
 		exe: &Executable{

@@ -396,11 +396,7 @@ func (s *sema) loopDirective(p *ast.PragmaStmt, d *directive.Directive) {
 	}
 
 	// Validate the body: Collapse perfectly-nested counted loops.
-	body := p.Body
-	if d.Name.IsCombined() {
-		body = p.Body
-	}
-	if !s.checkLoopNest(body, plan.Collapse, d.Line) {
+	if plan.Nest = s.loopNest(p.Body, plan.Collapse, d.Line); plan.Nest == nil {
 		return
 	}
 	s.exe.Loops[p] = plan
@@ -410,7 +406,7 @@ func (s *sema) loopDirective(p *ast.PragmaStmt, d *directive.Directive) {
 	if plan.Levels.Has(LevelGang) {
 		s.gangLoopSeen = true
 	}
-	s.stmt(body)
+	s.stmt(p.Body)
 	s.loopDepth, s.gangLoopSeen = prevDepth, prevGang
 }
 
@@ -425,30 +421,33 @@ func (s *sema) checkLoopNesting20(d *directive.Directive, plan *LoopPlan) {
 	}
 }
 
-// checkLoopNest verifies that st is a counted loop nest at least depth deep.
-func (s *sema) checkLoopNest(st ast.Stmt, depth int, line int) bool {
-	cur := st
-	for i := 0; i < depth; i++ {
+// loopNest returns the depth counted loops of the nest st opens,
+// outermost first, or reports an error and returns nil when st is not a
+// counted loop nest at least depth deep.
+func (s *sema) loopNest(st ast.Stmt, depth int, line int) []ast.Stmt {
+	nest := make([]ast.Stmt, 0, depth)
+	for cur := st; len(nest) < depth; {
 		switch x := cur.(type) {
 		case *ast.ForStmt:
+			nest = append(nest, x)
 			cur = x.Body
 		case *ast.DoStmt:
+			nest = append(nest, x)
 			cur = x.Body
 		case *ast.Block:
-			// A block wrapping a single loop is tolerated at depth > 0.
-			if i > 0 && len(x.Stmts) == 1 {
+			// A block wrapping a single loop is tolerated inside the nest.
+			if len(nest) > 0 && len(x.Stmts) == 1 {
 				cur = x.Stmts[0]
-				i--
 				continue
 			}
 			s.errorf(line, "loop directive requires %d tightly nested loops", depth)
-			return false
+			return nil
 		default:
 			s.errorf(line, "loop directive must be followed by a for/do loop")
-			return false
+			return nil
 		}
 	}
-	return true
+	return nest
 }
 
 // checkVarRef validates a data clause variable against the symbol table.

@@ -9,10 +9,12 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"accv/internal/analysis"
 	"accv/internal/ast"
 	"accv/internal/bytecode"
+	"accv/internal/directive"
 )
 
 // lowerBatches populates exe.Batch / exe.BatchDecline for every loop plan.
@@ -32,8 +34,18 @@ func lowerBatches(exe *Executable) {
 			exe.BatchDecline[p] = reason
 			continue
 		}
-		body, ivs, ok := nestShape(p, plan.Collapse)
-		if !ok {
+		ivs := make([]string, len(plan.Nest))
+		var body ast.Stmt
+		for i, loop := range plan.Nest {
+			switch x := loop.(type) {
+			case *ast.ForStmt:
+				ivs[i], body = forIvName(x), x.Body
+			case *ast.DoStmt:
+				ivs[i], body = x.Var, x.Body
+			}
+		}
+		if slices.Contains(ivs, "") {
+			// The interpreter reports the non-canonical initialization.
 			exe.BatchDecline[p] = "nest-shape"
 			continue
 		}
@@ -53,12 +65,13 @@ func lowerBatches(exe *Executable) {
 	}
 }
 
-// planDecline applies the plan- and oracle-level batch gates. Vendor bug
-// effects mutate plan flags after compilation, so the interpreter re-checks
-// the flag set at run time; this compile-time check handles the reference
-// lowering and produces the stable decline reasons.
+// planDecline is the batch gate: it applies the plan- and oracle-level
+// checks to a plan as the run executes it, after any vendor bug effects.
 func planDecline(plan *LoopPlan, verdicts map[int]analysis.LaneVerdict) string {
-	if plan.Seq || plan.DropPlan {
+	// A seq directive that a bug partitions anyway still declines: the
+	// oracle judged the directive as written, with no partitioned level,
+	// so its verdict does not cover the partitioned nest.
+	if plan.DropPlan || plan.Dir.Has(directive.Seq) {
 		return "sequential"
 	}
 	if plan.Redundant || plan.NoCombine || plan.PartialLanes || plan.CollapseSwap || plan.Gang0Only {
@@ -82,57 +95,18 @@ func planDecline(plan *LoopPlan, verdicts map[int]analysis.LaneVerdict) string {
 	return ""
 }
 
-// nestShape statically mirrors the interpreter's analyzeNest traversal:
-// collapse tightly nested counted loops, collecting induction-variable
-// names, and return the innermost body. Bound canonicality is the
-// interpreter's job (non-canonical nests error there before batching is
-// consulted); this only needs the shape.
-func nestShape(p *ast.PragmaStmt, collapse int) (ast.Stmt, []string, bool) {
-	if collapse < 1 {
-		collapse = 1
-	}
-	var ivs []string
-	cur := p.Body
-	for len(ivs) < collapse {
-		cur = unwrapBlock(cur)
-		switch x := cur.(type) {
-		case *ast.ForStmt:
-			name, ok := forIvName(x)
-			if !ok {
-				return nil, nil, false
-			}
-			ivs = append(ivs, name)
-			cur = x.Body
-		case *ast.DoStmt:
-			ivs = append(ivs, x.Var)
-			cur = x.Body
-		default:
-			return nil, nil, false
-		}
-	}
-	return cur, ivs, true
-}
-
-// unwrapBlock strips single-statement blocks (the interpreter's rule).
-func unwrapBlock(st ast.Stmt) ast.Stmt {
-	for {
-		b, ok := st.(*ast.Block)
-		if !ok || len(b.Stmts) != 1 {
-			return st
-		}
-		st = b.Stmts[0]
-	}
-}
-
-// forIvName extracts the induction variable of a canonical C for init.
-func forIvName(x *ast.ForStmt) (string, bool) {
+// forIvName extracts the induction variable of a canonical C for init, or
+// "" when the init is not canonical.
+func forIvName(x *ast.ForStmt) string {
 	switch init := x.Init.(type) {
 	case *ast.DeclStmt:
-		return init.Name, init.Init != nil
+		if init.Init != nil {
+			return init.Name
+		}
 	case *ast.AssignStmt:
 		if id, ok := init.LHS.(*ast.Ident); ok && init.Op == "=" {
-			return id.Name, true
+			return id.Name
 		}
 	}
-	return "", false
+	return ""
 }

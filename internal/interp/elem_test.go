@@ -173,3 +173,32 @@ int acc_test() {
 		t.Errorf("a host loop allocates %.0f times per run at 10,000 trips and %.0f at 100: its subscripts allocate", many, few)
 	}
 }
+
+// TestTreeBlocksDoNotAllocate holds the tree-walker's blocks to the heap
+// rule the scalar lowerer applies: a block opens a scope only when it
+// declares something, so a host loop whose braced body declares nothing
+// allocates no scope per trip.
+func TestTreeBlocksDoNotAllocate(t *testing.T) {
+	allocs := func(n int) float64 {
+		exe := compileErrorCase(t, "block loop", false, fmt.Sprintf(`
+int acc_test() {
+    int a[8];
+    int i;
+    int s = 0;
+    for (i = 0; i < %d; i++) {
+        a[i %% 8] = i;
+        s = s + a[i %% 8];
+    }
+    return s > 0;
+}`, n))
+		return testing.AllocsPerRun(3, func() {
+			if res := interp.Run(exe, interp.RunConfig{Engine: interp.EngineTree}); res.Err != nil || res.Exit != 1 {
+				t.Fatalf("trip count %d: exit %d, %v", n, res.Exit, res.Err)
+			}
+		})
+	}
+	few, many := allocs(100), allocs(10_000)
+	if many > few+100 {
+		t.Errorf("a host loop allocates %.0f times per run at 10,000 trips and %.0f at 100: its body block allocates", many, few)
+	}
+}

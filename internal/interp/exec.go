@@ -116,8 +116,9 @@ func (c *execCtx) execTree(st ast.Stmt) (ctl, error) {
 	c.tick()
 	switch x := st.(type) {
 	case *ast.Block:
+		// Only a block that declares something needs its own scope.
 		cc := c
-		if !x.Bare {
+		if !x.Bare && x.Declares() {
 			cc = c.child()
 		}
 		for _, s := range x.Stmts {

@@ -18,46 +18,26 @@ type loopDesc struct {
 	count   int64
 }
 
-// analyzeNest extracts depth canonical loops from a (possibly block-wrapped)
-// loop nest, evaluating bounds in the current environment. It returns the
-// loop descriptors outermost-first and the body of the innermost collapsed
-// loop.
-func (c *execCtx) analyzeNest(st ast.Stmt, depth int) ([]loopDesc, ast.Stmt, error) {
-	var loops []loopDesc
-	cur := st
-	for len(loops) < depth {
-		cur = unwrapBlock(cur)
-		switch x := cur.(type) {
+// analyzeNest canonicalizes the plan's collapsed loops, evaluating bounds
+// in the current environment. It returns the loop descriptors
+// outermost-first and the body of the innermost collapsed loop.
+func (c *execCtx) analyzeNest(nest []ast.Stmt) ([]loopDesc, ast.Stmt, error) {
+	loops := make([]loopDesc, len(nest))
+	var body ast.Stmt
+	for i, loop := range nest {
+		var err error
+		switch x := loop.(type) {
 		case *ast.ForStmt:
-			d, body, err := c.analyzeFor(x)
-			if err != nil {
-				return nil, nil, err
-			}
-			loops = append(loops, d)
-			cur = body
+			loops[i], body, err = c.analyzeFor(x)
 		case *ast.DoStmt:
-			d, err := c.analyzeDo(x)
-			if err != nil {
-				return nil, nil, err
-			}
-			loops = append(loops, d)
-			cur = x.Body
-		default:
-			return nil, nil, errf(st, "loop directive requires %d tightly nested counted loops", depth)
+			loops[i], err = c.analyzeDo(x)
+			body = x.Body
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	return loops, cur, nil
-}
-
-// unwrapBlock strips single-statement blocks.
-func unwrapBlock(st ast.Stmt) ast.Stmt {
-	for {
-		b, ok := st.(*ast.Block)
-		if !ok || len(b.Stmts) != 1 {
-			return st
-		}
-		st = b.Stmts[0]
-	}
+	return loops, body, nil
 }
 
 // analyzeFor canonicalizes a C for loop.
@@ -215,11 +195,7 @@ func (c *execCtx) execLoop(p *ast.PragmaStmt, plan *compiler.LoopPlan) error {
 	if plan.Gang0Only && !k.kernelsMode && k.gang != 0 {
 		return nil
 	}
-	collapse := plan.Collapse
-	if c.in.hooks().CollapseOuterOnly && collapse > 1 {
-		collapse = 1
-	}
-	loops, body, err := c.analyzeNest(p.Body, collapse)
+	loops, body, err := c.analyzeNest(plan.Nest)
 	if err != nil {
 		return err
 	}
@@ -333,12 +309,12 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 	}
 	partials := make([][]mem.Value, W)
 
-	// The VM runs the lane set as batches when the compile-time lowering
-	// and the runtime gates both admit the nest.
+	// The VM runs the lane set as batches when the compiler batched the
+	// nest and the environment admits it.
 	var err error
 	batched := false
 	if in.code != nil {
-		if bp, reason := c.batchFor(p, plan, loops); bp == nil {
+		if bp, reason := c.batchFor(p); bp == nil {
 			in.noteFallback(reason)
 		} else {
 			batched = true

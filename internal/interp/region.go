@@ -401,7 +401,7 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 		}
 	}
 	vlen := cfg.DefaultVectorLen
-	if !hooks.IgnoreVectorLength && !r.DropClause[directive.VectorLength] {
+	if !r.DropClause[directive.VectorLength] {
 		vlen, err = c.launchDim(dir, directive.VectorLength, cfg.DefaultVectorLen)
 		if err != nil {
 			return err

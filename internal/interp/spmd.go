@@ -27,7 +27,6 @@ import (
 
 	"accv/internal/ast"
 	"accv/internal/bytecode"
-	"accv/internal/compiler"
 	"accv/internal/mem"
 )
 
@@ -42,11 +41,11 @@ const batchChunk = 64
 // slots and resolution caches, across nests, gangs and runs.
 var batchPool = sync.Pool{New: func() any { return new(batchExec) }}
 
-// batchFor returns the nest's batch lowering when every runtime gate
-// admits it, or nil and the fallback reason. The compile-time decline
-// reasons are stored in the executable; the runtime re-checks the plan
-// flags because vendor bug effects mutate plans after compilation.
-func (c *execCtx) batchFor(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops []loopDesc) (*bytecode.BatchProc, string) {
+// batchFor returns the nest's batch lowering, or nil and the reason it
+// falls back. The compiler made every plan-level decision after the
+// vendor's bug effects (Executable.Batch); what it cannot see is a
+// host_data scope, whose device views the batch slots do not model.
+func (c *execCtx) batchFor(p *ast.PragmaStmt) (*bytecode.BatchProc, string) {
 	bp := c.in.exe.Batch[p]
 	if bp == nil {
 		if r := c.in.exe.BatchDecline[p]; r != "" {
@@ -54,21 +53,8 @@ func (c *execCtx) batchFor(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops []l
 		}
 		return nil, "no-oracle-entry"
 	}
-	if plan.Redundant || plan.NoCombine || plan.PartialLanes || plan.CollapseSwap ||
-		plan.Gang0Only || plan.DropPlan || len(plan.Private) > 0 ||
-		(c.in.hooks().CollapseOuterOnly && plan.Collapse > 1) {
-		return nil, "bug-hook"
-	}
 	if c.env.HasDeviceViews() {
 		return nil, "device-views"
-	}
-	if len(loops) != len(bp.IvNames) {
-		return nil, "nest-shape"
-	}
-	for i, d := range loops {
-		if d.varName != bp.IvNames[i] {
-			return nil, "nest-shape"
-		}
 	}
 	return bp, ""
 }

@@ -19,7 +19,7 @@ func matchConstruct(r *compiler.Region, sel []directive.Name) bool {
 	return false
 }
 
-// planHasLevelClause reports whether a loop plan carries the selector
+// planMatches reports whether a loop plan carries the selector
 // clause (gang/worker/vector/seq/independent/collapse/private/reduction).
 func planMatches(plan *compiler.LoopPlan, e Effect) bool {
 	switch e.Clause {
@@ -70,14 +70,6 @@ func planMatches(plan *compiler.LoopPlan, e Effect) bool {
 	return true
 }
 
-// applyEffect mutates the executable per the effect and returns any
-// diagnostics it raises (reject actions produce errors tagged with the
-// bug ID).
-func applyEffect(e Effect, exe *compiler.Executable, bugID string) []compiler.Diagnostic {
-	diags, _ := applyEffectTracked(e, exe, bugID)
-	return diags
-}
-
 // regionHasData reports whether a region carries a data action the
 // interpreter's ActSkipData lookup would suppress — an action of the
 // selected clause kind, restricted to explicitly-spelled clauses when the
@@ -92,16 +84,18 @@ func regionHasData(r *compiler.Region, kind directive.ClauseKind, explicitOnly b
 	return false
 }
 
-// applyEffectTracked is applyEffect additionally reporting whether the
-// effect had any observable consequence on this executable: a diagnostic,
-// or a plan/hook mutation the interpreter actually consults. The sweep
-// engine fingerprints a program by the set of effects that fire, so the
-// report must err toward true — over-reporting only costs cross-version
-// result sharing, while under-reporting would let a sweep reuse a result
-// across genuinely different behaviors. Each "did not fire" claim below
-// therefore mirrors the exact consumption point in internal/interp (e.g.
-// DropIf is only read when the directive has an if clause).
-func applyEffectTracked(e Effect, exe *compiler.Executable, bugID string) (diags []compiler.Diagnostic, fired bool) {
+// applyEffect mutates the executable per the effect, returns any
+// diagnostics it raises (reject actions produce errors tagged with the
+// bug ID), and reports whether the effect had any observable consequence
+// on this executable: a diagnostic, or a plan/hook mutation the
+// interpreter actually consults. The sweep engine fingerprints a program
+// by the set of effects that fire, so the report must err toward true —
+// over-reporting only costs cross-version result sharing, while
+// under-reporting would let a sweep reuse a result across genuinely
+// different behaviors. Each "did not fire" claim below therefore mirrors
+// the exact consumption point in internal/interp (e.g. DropIf is only
+// read when the directive has an if clause).
+func applyEffect(e Effect, exe *compiler.Executable, bugID string) (diags []compiler.Diagnostic, fired bool) {
 	reject := func(line int, msg string) {
 		diags = append(diags, compiler.Diagnostic{Sev: compiler.Error, Line: line, Msg: msg, BugID: bugID})
 	}

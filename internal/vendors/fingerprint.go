@@ -26,10 +26,11 @@ func (v *Vendor) BasePlan(prog *ast.Program) (*compiler.Executable, []compiler.D
 	return compiler.Plan(prog, v.opts)
 }
 
-// BaseCompile is BasePlan followed by the rest of the reference lowering:
-// the runnable pristine executable. Nothing on the fingerprint path needs
-// it; it stays because the benchmark's layer replay attributes compile
-// cost with it.
+// BaseCompile is BasePlan followed by compiler.Lower, the rest of the
+// reference lowering: the runnable pristine executable, lowered from
+// plans no bug effect touched. Nothing on the fingerprint path needs it;
+// it stays because the benchmark's layer replay attributes compile cost
+// with it.
 func (v *Vendor) BaseCompile(prog *ast.Program) (*compiler.Executable, []compiler.Diagnostic, error) {
 	return compiler.Compile(prog, v.opts)
 }
@@ -67,22 +68,14 @@ func (v *Vendor) FiredEffects(exe *compiler.Executable) []string {
 		scratch *compiler.Executable
 		fired   []string
 	)
-	for _, b := range v.bugs {
-		if b.Lang != exe.Prog.Lang || !b.ActiveIn(v.version) {
-			continue
+	v.eachEffect(exe.Prog.Lang, func(bugID string, i int, e Effect) {
+		if scratch == nil {
+			scratch = cloneForReplay(exe)
 		}
-		for i, e := range b.Effects {
-			if !e.activeIn(v.version) {
-				continue
-			}
-			if scratch == nil {
-				scratch = cloneForReplay(exe)
-			}
-			if _, hit := applyEffectTracked(e, scratch, b.ID); hit {
-				fired = append(fired, b.ID+"#"+strconv.Itoa(i))
-			}
+		if _, hit := applyEffect(e, scratch, bugID); hit {
+			fired = append(fired, bugID+"#"+strconv.Itoa(i))
 		}
-	}
+	})
 	return fired
 }
 

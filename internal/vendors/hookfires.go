@@ -9,7 +9,7 @@ import (
 // Hook-effect observability predicates. A hook effect flips runtime flags
 // in compiler.Hooks; it only changes a program's behavior when the program
 // actually exercises the hooked operation (a WaitNoop hook is inert on a
-// program that never waits). applyEffectTracked reports a hook effect as
+// program that never waits). applyEffect reports a hook effect as
 // fired only when a flag it flipped is observable here, keeping sweep
 // fingerprints from splitting on hooks the template can never feel. Each
 // predicate mirrors the flag's consumption site in internal/interp and
@@ -29,8 +29,6 @@ func hooksObservable(before, after compiler.Hooks, exe *compiler.Executable) boo
 		{before.FirstprivateAsPrivate != after.FirstprivateAsPrivate, hasExplicitFirstprivate},
 		{before.UpdateHostNoop != after.UpdateHostNoop, hasUpdateClause(directive.HostClause)},
 		{before.UpdateDeviceNoop != after.UpdateDeviceNoop, hasUpdateClause(directive.DeviceClause)},
-		{before.CollapseOuterOnly != after.CollapseOuterOnly, hasCollapsedLoop},
-		{before.IgnoreVectorLength != after.IgnoreVectorLength, hasRegionClause(directive.VectorLength)},
 		{before.HangOnWait != after.HangOnWait, usesWait},
 		{before.WaitNoop != after.WaitNoop, usesWait},
 		{before.CrashOnCacheDirective != after.CrashOnCacheDirective, hasConstruct(directive.Cache)},
@@ -104,26 +102,6 @@ func hasUpdateClause(k directive.ClauseKind) func(*compiler.Executable) bool {
 	return func(exe *compiler.Executable) bool {
 		for _, r := range exe.Regions {
 			if r.Construct == directive.Update && r.Dir.Has(k) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-func hasCollapsedLoop(exe *compiler.Executable) bool {
-	for _, plan := range exe.Loops {
-		if plan.Collapse > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-func hasRegionClause(k directive.ClauseKind) func(*compiler.Executable) bool {
-	return func(exe *compiler.Executable) bool {
-		for _, r := range exe.Regions {
-			if r.Dir.Has(k) {
 				return true
 			}
 		}

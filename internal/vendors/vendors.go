@@ -186,31 +186,43 @@ func (v *Vendor) ActiveBugs(lang ast.Lang) []Bug {
 	return out
 }
 
-// Compile implements compiler.Compiler: reference lowering followed by the
-// version's active bug effects.
+// Compile implements compiler.Compiler: the reference plan, then the
+// version's active bug effects, then the rest of the reference lowering
+// over the rewritten plans. A program an effect rejects is never lowered.
 func (v *Vendor) Compile(prog *ast.Program) (*compiler.Executable, []compiler.Diagnostic, error) {
-	exe, diags, err := compiler.Compile(prog, v.opts)
+	exe, diags, err := compiler.Plan(prog, v.opts)
 	if err != nil {
 		return nil, diags, err
 	}
-	for _, b := range v.bugs {
-		if b.Lang != prog.Lang || !b.ActiveIn(v.version) {
-			continue
-		}
-		for _, e := range b.Effects {
-			if !e.activeIn(v.version) {
-				continue
-			}
-			diags = append(diags, applyEffect(e, exe, b.ID)...)
-		}
-	}
+	v.eachEffect(prog.Lang, func(bugID string, _ int, e Effect) {
+		d, _ := applyEffect(e, exe, bugID)
+		diags = append(diags, d...)
+	})
 	exe.Diags = diags
 	for _, d := range diags {
 		if d.Sev == compiler.Error {
 			return nil, diags, &compiler.CompileError{Diags: diags}
 		}
 	}
+	compiler.Lower(exe)
 	return exe, diags, nil
+}
+
+// eachEffect calls f for every effect this version has active for lang,
+// in database order, with its bug's ID and its index among the bug's
+// effects. Compile applies effects and FiredEffects replays them through
+// this one walk, so both see the same effects in the same order.
+func (v *Vendor) eachEffect(lang ast.Lang, f func(bugID string, i int, e Effect)) {
+	for _, b := range v.bugs {
+		if b.Lang != lang || !b.ActiveIn(v.version) {
+			continue
+		}
+		for i, e := range b.Effects {
+			if e.activeIn(v.version) {
+				f(b.ID, i, e)
+			}
+		}
+	}
 }
 
 // String renders the vendor identity.
